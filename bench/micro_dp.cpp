@@ -227,9 +227,8 @@ void BM_DpParallelScan(benchmark::State& state) {
 BENCHMARK(BM_DpParallelScan)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_DynamicChunkSweep(benchmark::State& state) {
-  // Audits the kScanChunk/kBucketChunk constants of dp_parallel.cpp: a
-  // dynamic-schedule bucketed DP probe where the claim granularity is the
-  // benchmark argument. Run with 2 workers so the shared-counter contention
+  // Audits the kScanChunk constant of dp_parallel.cpp: a dynamic-schedule
+  // DP probe where the claim granularity is the benchmark argument. Run with 2 workers so the shared-counter contention
   // that the chunk size amortises is actually present.
   const RoundedInstance rounded = paper_scale_rounded();
   const StateSpace space(rounded.class_count, kBig);

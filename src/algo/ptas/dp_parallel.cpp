@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <functional>
 #include <limits>
+#include <mutex>
 #include <optional>
 #include <thread>
 
@@ -61,22 +63,14 @@ namespace {
 //    cover enough raw indices that the shared-counter fetch_add is
 //    amortised over the few entries actually processed; at 64 the claim
 //    overhead is ~1% of even a SWAR-fast entry's scan.
-//  * kBucketChunk — in the bucketed indexed sweep every claimed slot is a
-//    full config scan. 16 caps the per-worker tail imbalance at 16 slots
-//    (~13% of an average level, vs >50% at 64) and costs ~5% claim
-//    overhead relative to the ~24 ns SWAR-kernel entries; larger chunks
-//    only help once levels are much wider than paper scale. (The walker
-//    path uses a static block split and never consults this constant.)
 constexpr std::size_t kLevelComputeChunk = 1;
 constexpr std::size_t kScanChunk = 64;
-constexpr std::size_t kBucketChunk = 16;
 
 // Chunk-size clamp of the kCounters graph sweep. The nominal target splits
 // the *widest* anti-diagonal into ~4 chunks per worker (steal slack without
 // excessive graph size); the floor keeps one-entry tail levels from turning
 // into per-entry tasks whose spawn cost dwarfs a ~24 ns kernel entry, and
-// the ceiling bounds tail imbalance the same way kBucketChunk does for the
-// dynamic schedule.
+// the ceiling caps the per-worker tail imbalance of a chunk.
 constexpr std::size_t kCounterChunkMin = 16;
 constexpr std::size_t kCounterChunkMax = 256;
 
@@ -285,96 +279,22 @@ void run_scan_per_level(const RoundedInstance& rounded, const StateSpace& space,
   publish_run(recorder, counters, run);
 }
 
-void run_bucketed(const RoundedInstance& rounded, const StateSpace& space,
-                  const ConfigSet& configs, DpKernel kernel,
-                  LevelIteration iteration, LevelPruning pruning,
-                  Executor& executor, LoopSchedule schedule,
-                  const CancellationToken& cancel, DpRun& run) {
-  const unsigned workers = executor.concurrency();
-  std::vector<WorkerCounters> counters(workers);
-
-  obs::DpRunRecorder recorder(
-      "bucketed",
-      iteration == LevelIteration::kWalker ? "block" : loop_schedule_name(schedule),
-      space.size(), space.max_level() + 1);
-  const bool armed = cancel.valid();
-
-  if (iteration == LevelIteration::kWalker) {
-    // Fast path: no level array, no counting sort, no index gather. Workers
-    // seek straight to their rank slice of each anti-diagonal and walk it
-    // with the composition odometer. The walk is only O(1)-per-entry over
-    // a *contiguous* rank range, so this path always uses the static block
-    // decomposition (one seek per worker per level) regardless of the
-    // requested schedule — entries of one level are uniform-cost, so there
-    // is nothing for dynamic/round-robin balancing to win. This mirrors the
-    // SPMD walker split; the recorder reports the schedule as "block".
-    LevelWalker proto(space);
-    std::vector<LevelWalker> walkers(workers, proto);
-    for (int level = 0; level <= space.max_level(); ++level) {
-      fault_hit("dp.level");
-      if (armed) cancel.check();
-      const std::uint64_t width = proto.level_size(level);
-      const std::uint64_t level_t0 = recorder.level_begin();
-      executor.parallel_for_ranges(
-          static_cast<std::size_t>(width),
-          [&](std::size_t begin, std::size_t end, unsigned worker) {
-            CancelCheck range_check(cancel, kCancelPollPeriod);
-            LevelWalker& walker = walkers[worker];
-            walker.seek(level, begin);
-            for (std::size_t rank = begin; rank < end; ++rank) {
-              if (armed) range_check.poll();
-              process_entry(walker.index(), walker.digits(), level, rounded,
-                            space, configs, kernel, pruning, run.table,
-                            counters[worker]);
-              if (rank + 1 < end) walker.next();
-            }
-          },
-          LoopSchedule::kStatic, kBucketChunk, cancel);
-      recorder.level_end(level, width, level_t0);
-    }
-  } else {
-    const std::vector<std::int32_t> levels =
-        compute_levels(space, executor, cancel);
-    const LevelIndex index = build_level_index(space, levels);
-    const std::size_t first_offset =
-        configs.count() > 0 ? configs.offsets[0] : 0;
-    std::vector<std::vector<int>> scratch(
-        workers, std::vector<int>(static_cast<std::size_t>(space.dims())));
-    for (int level = 0; level <= space.max_level(); ++level) {
-      fault_hit("dp.level");
-      if (armed) cancel.check();
-      const std::size_t begin = index.level_begin[static_cast<std::size_t>(level)];
-      const std::size_t end = index.level_begin[static_cast<std::size_t>(level) + 1];
-      const std::uint64_t level_t0 = recorder.level_begin();
-      executor.parallel_for_ranges(
-          end - begin,
-          [&](std::size_t slot_begin, std::size_t slot_end, unsigned worker) {
-            CancelCheck range_check(cancel, kCancelPollPeriod);
-            for (std::size_t slot = slot_begin; slot < slot_end; ++slot) {
-              if (armed) range_check.poll();
-              if (slot + 1 < slot_end) {
-                prefetch_first_predecessor(index.order[begin + slot + 1],
-                                           first_offset,
-                                           run.table.values_data());
-              }
-              process_index(index.order[begin + slot], level, rounded, space,
-                            configs, kernel, pruning, run.table,
-                            scratch[worker], counters[worker]);
-            }
-          },
-          schedule, kBucketChunk, cancel);
-      recorder.level_end(level, end - begin, level_t0);
-    }
-  }
-  publish_run(recorder, counters, run);
-}
-
-void run_spmd(const RoundedInstance& rounded, const StateSpace& space,
-              const ConfigSet& configs, DpKernel kernel,
-              LevelIteration iteration, LevelPruning pruning,
-              unsigned num_threads, const CancellationToken& cancel, DpRun& run) {
-  // The indexed baseline precomputes the level array and bucket order once
-  // (sequentially — SPMD owns its threads); the walker path needs neither.
+/// The barrier-synchronised level sweep of kBucketed and kSpmd (paper
+/// Algorithm 3): `members` threads each run `worker_fn` once, split every
+/// anti-diagonal between them, and meet at a barrier between levels. The two
+/// engines differ only in who supplies the threads — `launch` runs
+/// `worker_fn` once per member id, concurrently, and returns after all of
+/// them did: one executor team episode for kBucketed, run-scoped
+/// std::threads for kSpmd. A team of one runs the same sweep on the caller
+/// with a barrier that returns at once.
+void run_level_sweep(const RoundedInstance& rounded, const StateSpace& space,
+                     const ConfigSet& configs, DpKernel kernel,
+                     LevelIteration iteration, LevelPruning pruning,
+                     unsigned members, const char* variant,
+                     const std::function<void(const ThreadPool::TeamBody&)>& launch,
+                     const CancellationToken& cancel, DpRun& run) {
+  // The indexed baseline precomputes the level array and bucket order once,
+  // on the caller; the walker path needs neither.
   std::vector<std::int32_t> levels;
   LevelIndex index;
   if (iteration == LevelIteration::kIndexed) {
@@ -383,13 +303,12 @@ void run_spmd(const RoundedInstance& rounded, const StateSpace& space,
     index = build_level_index(space, levels);
   }
 
-  Barrier barrier(num_threads);
-  std::vector<WorkerCounters> counters(num_threads);
+  Barrier barrier(members);
+  std::vector<WorkerCounters> counters(members);
   // Walker workers own a contiguous rank block of each level ("block");
   // the indexed baseline keeps the paper's round-robin slotting.
   obs::DpRunRecorder recorder(
-      "spmd",
-      iteration == LevelIteration::kWalker ? "block" : "round-robin",
+      variant, iteration == LevelIteration::kWalker ? "block" : "round-robin",
       space.size(), space.max_level() + 1);
 
   // Barrier-safe stop protocol. A worker that observes a stop request must
@@ -402,11 +321,21 @@ void run_spmd(const RoundedInstance& rounded, const StateSpace& space,
   //  * every worker tests `level > stop_after` at the top of the loop.
   // Worker 0 can only stamp the level it has itself reached, and the stamp
   // is sequenced before the barrier all peers pass through, so at the top of
-  // level l+1 every worker uniformly sees l+1 > l and exits together.
+  // level l+1 every worker uniformly sees l+1 > l and exits together. An
+  // exception thrown by a member's level work is caught, kept (the first
+  // one wins) and raises `stop_pending` the same way.
   const bool armed = cancel.valid();
   std::atomic<bool> stop_pending{false};
   std::atomic<int> stop_after{std::numeric_limits<int>::max()};
-  std::exception_ptr stop_error;  // written by worker 0 only
+  std::mutex error_mutex;
+  std::exception_ptr stop_error;  // guarded by error_mutex
+  auto keep_error = [&] {
+    {
+      const std::lock_guard lock(error_mutex);
+      if (!stop_error) stop_error = std::current_exception();
+    }
+    stop_pending.store(true, std::memory_order_relaxed);
+  };
 
   auto worker_fn = [&](unsigned worker) {
     std::vector<int> digits(static_cast<std::size_t>(space.dims()));
@@ -423,8 +352,7 @@ void run_spmd(const RoundedInstance& rounded, const StateSpace& space,
             stop_pending.store(true, std::memory_order_relaxed);
           }
         } catch (...) {
-          stop_error = std::current_exception();
-          stop_pending.store(true, std::memory_order_relaxed);
+          keep_error();
         }
       }
       // Worker 0 (the orchestrating thread) owns the level samples; timing
@@ -441,31 +369,35 @@ void run_spmd(const RoundedInstance& rounded, const StateSpace& space,
         }
         return false;
       };
-      if (walker) {
-        // Contiguous block split of the level's rank range across threads.
-        width = walker->level_size(level);
-        const std::uint64_t begin = width * worker / num_threads;
-        const std::uint64_t end = width * (worker + 1) / num_threads;
-        if (begin < end) {
-          walker->seek(level, begin);
-          for (std::uint64_t rank = begin; rank < end; ++rank) {
+      try {
+        if (walker) {
+          // Contiguous block split of the level's rank range across members.
+          width = walker->level_size(level);
+          const std::uint64_t begin = width * worker / members;
+          const std::uint64_t end = width * (worker + 1) / members;
+          if (begin < end) {
+            walker->seek(level, begin);
+            for (std::uint64_t rank = begin; rank < end; ++rank) {
+              if (polled_stop()) break;
+              process_entry(walker->index(), walker->digits(), level, rounded,
+                            space, configs, kernel, pruning, run.table,
+                            counters[worker]);
+              if (rank + 1 < end) walker->next();
+            }
+          }
+        } else {
+          const std::size_t begin = index.level_begin[static_cast<std::size_t>(level)];
+          const std::size_t end = index.level_begin[static_cast<std::size_t>(level) + 1];
+          width = end - begin;
+          // Round-robin slotting of this level's entries across the members.
+          for (std::size_t slot = begin + worker; slot < end; slot += members) {
             if (polled_stop()) break;
-            process_entry(walker->index(), walker->digits(), level, rounded,
-                          space, configs, kernel, pruning, run.table,
-                          counters[worker]);
-            if (rank + 1 < end) walker->next();
+            process_index(index.order[slot], level, rounded, space, configs,
+                          kernel, pruning, run.table, digits, counters[worker]);
           }
         }
-      } else {
-        const std::size_t begin = index.level_begin[static_cast<std::size_t>(level)];
-        const std::size_t end = index.level_begin[static_cast<std::size_t>(level) + 1];
-        width = end - begin;
-        // Round-robin slotting of this level's entries across the P threads.
-        for (std::size_t slot = begin + worker; slot < end; slot += num_threads) {
-          if (polled_stop()) break;
-          process_index(index.order[slot], level, rounded, space, configs,
-                        kernel, pruning, run.table, digits, counters[worker]);
-        }
+      } catch (...) {
+        keep_error();
       }
       if (worker == 0 && stop_pending.load(std::memory_order_relaxed)) {
         stop_after.store(level, std::memory_order_relaxed);
@@ -474,17 +406,12 @@ void run_spmd(const RoundedInstance& rounded, const StateSpace& space,
       if (worker == 0) recorder.level_end(level, width, level_t0);
     }
   };
-
-  std::vector<std::thread> threads;
-  threads.reserve(num_threads - 1);
-  for (unsigned w = 1; w < num_threads; ++w) threads.emplace_back(worker_fn, w);
-  worker_fn(0);
-  for (auto& t : threads) t.join();
+  launch(worker_fn);
 
   if (stop_error) std::rethrow_exception(stop_error);
   if (stop_pending.load(std::memory_order_relaxed)) {
     cancel.check();  // throws the typed error; sticky, so this cannot fall through
-    throw CancelledError("spmd DP stopped");  // defensive: unreachable
+    throw CancelledError("DP level sweep stopped");  // defensive: unreachable
   }
   publish_run(recorder, counters, run);
 }
@@ -624,9 +551,13 @@ DpRun dp_parallel(const RoundedInstance& rounded, const StateSpace& space,
                      options.pruning, ws->pool(), options.cancel, run,
                      "bucketed-counters");
       } else {
-        run_bucketed(rounded, space, configs, kernel, options.iteration,
-                     options.pruning, *options.executor, options.schedule,
-                     options.cancel, run);
+        Executor& executor = *options.executor;
+        run_level_sweep(rounded, space, configs, kernel, options.iteration,
+                        options.pruning, executor.team_size(), "bucketed",
+                        [&](const ThreadPool::TeamBody& body) {
+                          executor.run_team(body, options.cancel);
+                        },
+                        options.cancel, run);
       }
       break;
     case ParallelDpVariant::kSpmd:
@@ -639,8 +570,20 @@ DpRun dp_parallel(const RoundedInstance& rounded, const StateSpace& space,
                      options.pruning, pool, options.cancel, run,
                      "spmd-counters");
       } else {
-        run_spmd(rounded, space, configs, kernel, options.iteration,
-                 options.pruning, options.spmd_threads, options.cancel, run);
+        // SPMD owns its threads: started for this run, joined at its end.
+        const unsigned members = options.spmd_threads;
+        run_level_sweep(rounded, space, configs, kernel, options.iteration,
+                        options.pruning, members, "spmd",
+                        [members](const ThreadPool::TeamBody& body) {
+                          std::vector<std::thread> threads;
+                          threads.reserve(members - 1);
+                          for (unsigned w = 1; w < members; ++w) {
+                            threads.emplace_back(body, w);
+                          }
+                          body(0);
+                          for (auto& t : threads) t.join();
+                        },
+                        options.cancel, run);
       }
       break;
   }

@@ -9,11 +9,12 @@
 //    parallel (Alg. 3 Lines 4-8), then for every level scan all sigma
 //    entries and process those with d_i == l (Lines 10-25). The scan costs
 //    O(sigma) per level on top of the useful work.
-//  * kBucketed — each level's parallel loop touches only that level's
-//    entries. Same results, no per-level scan (ablation:
-//    bench/ablation_dp_variants quantifies the difference).
-//  * kSpmd — persistent threads with a barrier between levels, eliminating
-//    the per-level fork/join of the executor.
+//  * kBucketed — the whole fill is one executor team episode
+//    (Executor::run_team): each member takes its share of every level's
+//    entries, and the members meet at a barrier between levels. Same
+//    results, no per-level scan (ablation: bench/ablation_dp_variants
+//    quantifies the difference) and one hand-off per fill, not per level.
+//  * kSpmd — the same level sweep on threads the run starts itself.
 //
 // kBucketed and kSpmd enumerate a level's entries either with a LevelWalker
 // (kWalker: rank/unrank splitting plus an amortised-O(1) composition
@@ -60,9 +61,10 @@ std::string level_iteration_name(LevelIteration iteration);
 
 /// Inter-level synchronisation of kBucketed/kSpmd.
 enum class DpSyncMode {
-  /// Full synchronisation between consecutive anti-diagonals: an executor
-  /// fork/join per level (kBucketed) or an SPMD barrier (kSpmd). Every
-  /// worker pays the sync cost max_level times even on one-entry levels.
+  /// Full synchronisation between consecutive anti-diagonals: the team of
+  /// one run_team episode (kBucketed) or of the run's own threads (kSpmd)
+  /// meets at a spin-then-block barrier after every level. Every worker
+  /// pays the sync cost max_level times even on one-entry levels.
   kBarrier,
   /// Barrier-free: levels are cut into rank chunks and a chunk becomes
   /// runnable the moment its per-chunk dependency counter (derived from
@@ -80,11 +82,15 @@ std::string dp_sync_mode_name(DpSyncMode mode);
 
 /// Options of one parallel DP run.
 struct ParallelDpOptions {
-  /// Executor running the parallel loops (kScanPerLevel/kBucketed); must
-  /// stay alive for the duration of the call. Ignored by kSpmd.
+  /// Executor running the parallel loops (kScanPerLevel) or the team
+  /// episode (kBucketed); must stay alive for the duration of the call.
+  /// Ignored by kSpmd.
   Executor* executor = nullptr;
   ParallelDpVariant variant = ParallelDpVariant::kBucketed;
-  /// Iteration-assignment strategy inside a level (paper: round-robin).
+  /// Iteration-assignment strategy inside a level of kScanPerLevel (paper:
+  /// round-robin). The team sweep of kBucketed/kSpmd ignores it: the walker
+  /// splits each level into one contiguous block per member, the indexed
+  /// baseline deals the level's slots round-robin.
   LoopSchedule schedule = LoopSchedule::kRoundRobin;
   /// Thread count for the kSpmd variant.
   unsigned spmd_threads = 1;

@@ -76,28 +76,15 @@ DpBackendFn PtasSolver::make_backend(DpTableMode mode,
       };
     }
     case DpEngine::kParallelScan:
-    case DpEngine::kParallelBucketed: {
-      ParallelDpOptions dp_options;
-      dp_options.executor = options_.executor;
-      dp_options.variant = options_.engine == DpEngine::kParallelScan
-                               ? ParallelDpVariant::kScanPerLevel
-                               : ParallelDpVariant::kBucketed;
-      dp_options.schedule = options_.schedule;
-      dp_options.kernel = options_.kernel;
-      dp_options.iteration = options_.iteration;
-      dp_options.pruning = options_.pruning;
-      dp_options.sync_mode = options_.sync_mode;
-      dp_options.table_mode = mode;
-      dp_options.table_alloc = options_.table_alloc;
-      dp_options.cancel = cancel;
-      return [dp_options](const RoundedInstance& rounded, const StateSpace& space,
-                          const ConfigSet& configs) {
-        return dp_parallel(rounded, space, configs, dp_options);
-      };
-    }
+    case DpEngine::kParallelBucketed:
     case DpEngine::kSpmd: {
       ParallelDpOptions dp_options;
-      dp_options.variant = ParallelDpVariant::kSpmd;
+      dp_options.executor = options_.executor;
+      dp_options.variant =
+          options_.engine == DpEngine::kParallelScan ? ParallelDpVariant::kScanPerLevel
+          : options_.engine == DpEngine::kSpmd       ? ParallelDpVariant::kSpmd
+                                                     : ParallelDpVariant::kBucketed;
+      dp_options.schedule = options_.schedule;
       dp_options.spmd_threads = options_.spmd_threads;
       dp_options.kernel = options_.kernel;
       dp_options.iteration = options_.iteration;
@@ -106,8 +93,27 @@ DpBackendFn PtasSolver::make_backend(DpTableMode mode,
       dp_options.table_mode = mode;
       dp_options.table_alloc = options_.table_alloc;
       dp_options.cancel = cancel;
-      return [dp_options](const RoundedInstance& rounded, const StateSpace& space,
-                          const ConfigSet& configs) {
+      // A team-sweep fill too small to split runs inline on the caller as
+      // dp_bottom_up (the same table; see kTeamFillMinWork). Only a team
+      // wider than one thread has a hand-off and barrier waits to save.
+      const bool team_sweep =
+          options_.engine != DpEngine::kParallelScan &&
+          options_.sync_mode == DpSyncMode::kBarrier &&
+          (options_.engine == DpEngine::kSpmd ? options_.spmd_threads
+                                              : options_.executor->team_size()) > 1;
+      DpOptions inline_options;
+      inline_options.kernel = options_.kernel;
+      inline_options.mode = mode;
+      inline_options.pruning = options_.pruning;
+      inline_options.table_alloc = options_.table_alloc;
+      inline_options.cancel = cancel;
+      return [dp_options, team_sweep, inline_options](const RoundedInstance& rounded,
+                                                      const StateSpace& space,
+                                                      const ConfigSet& configs) {
+        if (team_sweep && static_cast<std::uint64_t>(space.size()) * configs.count() <
+                              kTeamFillMinWork) {
+          return dp_bottom_up(rounded, space, configs, inline_options);
+        }
         return dp_parallel(rounded, space, configs, dp_options);
       };
     }

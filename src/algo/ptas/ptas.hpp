@@ -9,6 +9,7 @@
 // (1+epsilon)-approximation, identical for sequential and parallel engines.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "algo/ptas/bisection.hpp"
@@ -30,6 +31,27 @@ enum class DpEngine {
 /// Human-readable engine name.
 std::string dp_engine_name(DpEngine engine);
 
+/// Work sigma * |C| (table entries times configurations) from which the
+/// kParallelBucketed and kSpmd engines (barrier sync, team wider than one
+/// thread) split a DP fill across their team. A smaller fill runs inline on
+/// the calling thread as dp_bottom_up: no hand-off, no barrier waits, and
+/// the same table, since every engine fills identical values and choices.
+///
+/// Measured per probe fill (min of 7 batches) on the probes of random
+/// U(1,100) / U(1,10n) / U(1,2m-1) / U(m,2m-1) instances at m/n = 20/100,
+/// 10/50, 10/30 and eps = 0.3 and 0.2, Release build, 4-vCPU x86-64 host:
+///  * the team sweep run by one thread is 1.1-1.3x slower than dp_bottom_up
+///    at every size (its level-order walk loses the index-order locality;
+///    1.5-4x under 1e3, where the sweep's fixed costs dominate), which is
+///    why the inline path is dp_bottom_up and not a team of one;
+///  * a team of two (work-stealing pool) overtakes a team of one at ~1e5
+///    and dp_bottom_up at 2e5-3e5 (median ratios 0.98 at ~1.8e5 and 0.95 at
+///    ~3.2e5); below 3e4 it is 1.7-60x slower, the hand-off alone costing
+///    15-25 us; a team of four overtakes dp_bottom_up at ~1e5.
+/// The cut sits at the two-thread crossover, so no fill runs slower than
+/// the sequential engine would run it.
+inline constexpr std::uint64_t kTeamFillMinWork = 250000;
+
 /// Options of the PTAS solver.
 struct PtasOptions {
   /// Relative error epsilon > 0; the paper's experiments use 0.3.
@@ -38,7 +60,8 @@ struct PtasOptions {
   /// Executor for the parallel engines; non-owning, must outlive the solver.
   /// Ignored by sequential engines and by kSpmd.
   Executor* executor = nullptr;
-  /// Per-level iteration assignment (paper: round-robin).
+  /// Per-level iteration assignment of kParallelScan (paper: round-robin).
+  /// The team sweep of kParallelBucketed/kSpmd ignores it.
   LoopSchedule schedule = LoopSchedule::kRoundRobin;
   /// Thread count for the kSpmd engine.
   unsigned spmd_threads = 1;

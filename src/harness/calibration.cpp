@@ -82,7 +82,7 @@ double measure_dp_entry(int rounds) {
 
 SimMachineModel CalibrationResult::to_model(double work_scale) const {
   SimMachineModel model;
-  model.barrier_seconds = forkjoin_seconds;  // one fork-join per DP level
+  model.barrier_seconds = forkjoin_seconds;  // Alg. 3: a parallel-for per level
   model.work_scale = work_scale;
   return model;
 }

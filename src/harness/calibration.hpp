@@ -8,7 +8,11 @@
 //
 //  * fork-join cost: median wall time of an empty ThreadPool region;
 //  * barrier cost: median round-trip of a P-participant Barrier cycle,
-//    measured inside an SPMD region;
+//    measured inside an SPMD region. Barrier spins for up to
+//    Barrier::kSpinBudget before it blocks, so this figure includes the
+//    spin phase: on an idle core it is the spinning release (~1 us), and it
+//    only reaches the blocking wake-up cost when participants outnumber the
+//    cores;
 //  * per-entry cost: a reference DP probe timed and divided by its size.
 #pragma once
 
@@ -23,8 +27,9 @@ struct CalibrationResult {
   double dp_entry_seconds = 0.0;   ///< per-entry cost of a reference DP
   unsigned threads = 1;
 
-  /// A SimMachineModel using the measured synchronisation cost (fork-join,
-  /// since the executor-based parallel DP pays one fork-join per level).
+  /// A SimMachineModel using the measured synchronisation cost (fork-join:
+  /// the simulator replays the paper's Algorithm 3, one parallel-for per
+  /// level; the library's own team sweep pays a barrier cycle instead).
   [[nodiscard]] SimMachineModel to_model(double work_scale = 1.0) const;
 };
 

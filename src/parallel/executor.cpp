@@ -6,6 +6,12 @@
 
 #if defined(PCMAX_HAVE_OPENMP)
 #include <omp.h>
+
+#include <atomic>
+#include <exception>
+#include <mutex>
+
+#include "obs/metrics.hpp"
 #endif
 
 namespace pcmax {
@@ -18,6 +24,26 @@ void Executor::parallel_for(std::size_t n, const std::function<void(std::size_t)
         for (std::size_t i = begin; i < end; ++i) fn(i);
       },
       schedule, /*chunk=*/1, cancel);
+}
+
+void Executor::run_team(const ThreadPool::TeamBody& body,
+                        const CancellationToken& cancel) {
+  if (cancel.valid() && cancel.cancel_requested()) cancel.check();
+  // No token below: a member must never be skipped once the team started.
+  parallel_for_ranges(
+      team_size(),
+      [&body](std::size_t begin, std::size_t end, unsigned /*worker*/) {
+        for (std::size_t member = begin; member < end; ++member) {
+          body(static_cast<unsigned>(member));
+        }
+      },
+      LoopSchedule::kRoundRobin, /*chunk=*/1, CancellationToken{});
+}
+
+void SequentialExecutor::run_team(const ThreadPool::TeamBody& body,
+                                  const CancellationToken& cancel) {
+  if (cancel.valid() && cancel.cancel_requested()) cancel.check();
+  body(0);
 }
 
 void SequentialExecutor::parallel_for_ranges(std::size_t n,
@@ -105,6 +131,52 @@ void OpenMPExecutor::parallel_for_ranges(std::size_t n,
       break;
   }
   if (armed && cancel.cancel_requested()) cancel.check();
+}
+
+unsigned OpenMPExecutor::team_size() const {
+  return omp_in_parallel() != 0 ? 1 : num_threads_;
+}
+
+void OpenMPExecutor::run_team(const ThreadPool::TeamBody& body,
+                              const CancellationToken& cancel) {
+  if (cancel.valid() && cancel.cancel_requested()) cancel.check();
+  if (omp_in_parallel() != 0) {
+    body(0);  // nested: a team of one on the calling thread
+    return;
+  }
+  const obs::ScopedTimer region_timer(obs::Timer::kPoolRegion);
+  if (obs::Metrics* metrics = obs::current()) {
+    metrics->add(0, obs::Counter::kPoolRegions);
+  }
+  const unsigned members = num_threads_;
+  if (members == 1) {
+    body(0);
+    return;
+  }
+  // Exceptions must not escape the region: the first is kept and rethrown
+  // after the join. A runtime that grants fewer threads than asked for (a
+  // thread limit, dynamic adjustment) runs no member at all, since a short
+  // team would wait forever at its first full barrier.
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  std::atomic<int> granted{0};
+#pragma omp parallel num_threads(members)
+  {
+    granted.store(omp_get_num_threads(), std::memory_order_relaxed);
+    if (omp_get_num_threads() == static_cast<int>(members)) {
+      try {
+        body(static_cast<unsigned>(omp_get_thread_num()));
+      } catch (...) {
+        const std::lock_guard lock(error_mutex);
+        if (!error) error = std::current_exception();
+      }
+    }
+  }
+  if (error) std::rethrow_exception(error);
+  if (granted.load(std::memory_order_relaxed) != static_cast<int>(members)) {
+    throw ResourceLimitError("OpenMP granted " + std::to_string(granted.load()) +
+                             " of " + std::to_string(members) + " team threads");
+  }
 }
 #endif  // PCMAX_HAVE_OPENMP
 

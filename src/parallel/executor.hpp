@@ -1,7 +1,10 @@
 // Executor: the abstraction algorithms program against for parallelism.
 //
-// The parallel PTAS expresses its level sweep as `parallel_for` calls; the
-// concrete executor decides how (and whether) iterations run concurrently:
+// Two shapes of parallel work: `parallel_for_ranges` splits an iteration
+// range among the workers, and `run_team` starts one member per worker for
+// a whole SPMD region (the parallel PTAS runs each DP fill as one team that
+// sweeps every anti-diagonal, meeting at a barrier between levels). The
+// concrete executor decides how (and whether) work runs concurrently:
 //
 //  * SequentialExecutor — inline execution; used by the sequential PTAS and
 //    as the P=1 baseline of all speedup experiments.
@@ -52,6 +55,28 @@ class Executor {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                     LoopSchedule schedule = LoopSchedule::kStatic,
                     const CancellationToken& cancel = {});
+
+  /// Members run_team starts when called from this thread: concurrency(),
+  /// or 1 where a call would nest inside one of the executor's own workers.
+  /// Size a team's shared state (e.g. its Barrier) by this value.
+  [[nodiscard]] virtual unsigned team_size() const { return concurrency(); }
+
+  /// Team episode: runs `body(w)` exactly once for each w in [0, team_size()),
+  /// each on its own thread and all at the same time, as one region
+  /// (one `pool.regions`). Members may therefore wait for each other. A
+  /// valid, cancelled `cancel` throws its typed error before any member
+  /// starts; once started, every member runs to completion, because a member
+  /// that was skipped would strand its peers at their next barrier — the
+  /// body polls the token itself and must not leave a barrier protocol
+  /// half-way. The first exception a member throws is rethrown after all
+  /// members have returned.
+  ///
+  /// The default runs the members as a round-robin parallel_for_ranges of
+  /// team_size() iterations, which meets the contract when the backend
+  /// hands iteration w to its own worker w (a backend of concurrency 1
+  /// always does). The default argument lives on the base declaration only.
+  virtual void run_team(const ThreadPool::TeamBody& body,
+                        const CancellationToken& cancel = {});
 };
 
 /// Inline, single-threaded executor.
@@ -62,6 +87,9 @@ class SequentialExecutor final : public Executor {
   void parallel_for_ranges(std::size_t n, const ThreadPool::RangeBody& body,
                            LoopSchedule schedule, std::size_t chunk,
                            const CancellationToken& cancel) override;
+  /// A team of one: `body(0)` on the caller, no region.
+  void run_team(const ThreadPool::TeamBody& body,
+                const CancellationToken& cancel) override;
 };
 
 /// Executor backed by the library's own persistent thread pool.
@@ -75,6 +103,11 @@ class ThreadPoolExecutor final : public Executor {
   void parallel_for_ranges(std::size_t n, const ThreadPool::RangeBody& body,
                            LoopSchedule schedule, std::size_t chunk,
                            const CancellationToken& cancel) override;
+  [[nodiscard]] unsigned team_size() const override { return pool_.team_size(); }
+  void run_team(const ThreadPool::TeamBody& body,
+                const CancellationToken& cancel) override {
+    pool_.run_team(body, cancel);
+  }
 
   /// Direct access to the underlying pool (e.g. for SPMD algorithms).
   [[nodiscard]] ThreadPool& pool() { return pool_; }
@@ -98,6 +131,11 @@ class WorkStealingExecutor final : public Executor {
   void parallel_for_ranges(std::size_t n, const ThreadPool::RangeBody& body,
                            LoopSchedule schedule, std::size_t chunk,
                            const CancellationToken& cancel) override;
+  [[nodiscard]] unsigned team_size() const override { return pool_.team_size(); }
+  void run_team(const ThreadPool::TeamBody& body,
+                const CancellationToken& cancel) override {
+    pool_.run_team(body, cancel);
+  }
 
   /// Direct access to the underlying pool (task-graph episodes, SPMD).
   [[nodiscard]] WorkStealingPool& pool() { return pool_; }
@@ -118,6 +156,11 @@ class OpenMPExecutor final : public Executor {
   void parallel_for_ranges(std::size_t n, const ThreadPool::RangeBody& body,
                            LoopSchedule schedule, std::size_t chunk,
                            const CancellationToken& cancel) override;
+  /// 1 inside an active OpenMP parallel region (nested teams run inline).
+  [[nodiscard]] unsigned team_size() const override;
+  /// One `omp parallel` region of team_size() threads.
+  void run_team(const ThreadPool::TeamBody& body,
+                const CancellationToken& cancel) override;
 
  private:
   unsigned num_threads_;

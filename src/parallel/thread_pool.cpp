@@ -9,6 +9,14 @@
 
 namespace pcmax {
 
+namespace {
+
+/// The pool whose region the current thread is executing, for nested-team
+/// detection (run_team from inside a body runs inline).
+thread_local const ThreadPool* tl_pool = nullptr;
+
+}  // namespace
+
 const char* loop_schedule_name(LoopSchedule schedule) {
   switch (schedule) {
     case LoopSchedule::kStatic: return "static";
@@ -23,6 +31,7 @@ const char* loop_schedule_name(LoopSchedule schedule) {
 struct ThreadPool::Region {
   std::size_t n = 0;
   const RangeBody* body = nullptr;
+  const TeamBody* team = nullptr;  // set for team episodes (body unused)
   LoopSchedule schedule = LoopSchedule::kStatic;
   std::size_t chunk = 1;
   const CancellationToken* cancel = nullptr;  // non-owning; outlives the region
@@ -95,6 +104,8 @@ void ThreadPool::work_on(const Region& region, unsigned worker) {
   std::uint64_t tasks = 0;
   std::uint64_t iterations = 0;
   std::uint64_t claims = 0;
+  const ThreadPool* previous_pool = tl_pool;
+  tl_pool = this;
   try {
     const std::size_t n = region.n;
     const unsigned P = num_threads_;
@@ -113,8 +124,16 @@ void ThreadPool::work_on(const Region& region, unsigned worker) {
       }
       case LoopSchedule::kRoundRobin: {
         // Strided singleton ranges: iteration i goes to worker i mod P,
-        // mirroring the paper's round-robin "parallel for" semantics.
+        // mirroring the paper's round-robin "parallel for" semantics. A team
+        // episode is this loop at n = P without the dispatch probes: every
+        // worker runs its own id exactly once (see run_team).
         for (std::size_t i = worker; i < n; i += P) {
+          if (region.team != nullptr) {
+            ++tasks;
+            ++iterations;
+            (*region.team)(worker);
+            continue;
+          }
           region.throw_if_cancelled();
           fault_hit("pool.task");
           ++tasks;
@@ -145,6 +164,7 @@ void ThreadPool::work_on(const Region& region, unsigned worker) {
     // iteration was claimed but its tail never ran.
     region.capture_exception();
   }
+  tl_pool = previous_pool;
   if (obs::Metrics* metrics = obs::current()) {
     metrics->add(worker, obs::Counter::kPoolTasks, tasks);
     metrics->add(worker, obs::Counter::kPoolIterations, iterations);
@@ -156,18 +176,37 @@ void ThreadPool::run(std::size_t n, const RangeBody& body, LoopSchedule schedule
                      std::size_t chunk, const CancellationToken& cancel) {
   PCMAX_REQUIRE(chunk >= 1, "dynamic chunk must be at least 1");
   if (n == 0) return;
-
-  const obs::ScopedTimer region_timer(obs::Timer::kPoolRegion);
-  if (obs::Metrics* metrics = obs::current()) {
-    metrics->add(0, obs::Counter::kPoolRegions);
-  }
-
   Region region;
   region.n = n;
   region.body = &body;
   region.schedule = schedule;
   region.chunk = chunk;
   region.cancel = cancel.valid() ? &cancel : nullptr;
+  run_region(region);
+}
+
+unsigned ThreadPool::team_size() const {
+  return tl_pool != nullptr ? 1 : num_threads_;
+}
+
+void ThreadPool::run_team(const TeamBody& body, const CancellationToken& cancel) {
+  if (cancel.valid() && cancel.cancel_requested()) cancel.check();
+  if (tl_pool != nullptr) {
+    body(0);
+    return;
+  }
+  Region region;
+  region.n = num_threads_;
+  region.team = &body;
+  region.schedule = LoopSchedule::kRoundRobin;
+  run_region(region);
+}
+
+void ThreadPool::run_region(Region& region) {
+  const obs::ScopedTimer region_timer(obs::Timer::kPoolRegion);
+  if (obs::Metrics* metrics = obs::current()) {
+    metrics->add(0, obs::Counter::kPoolRegions);
+  }
 
   if (num_threads_ == 1) {
     work_on(region, 0);

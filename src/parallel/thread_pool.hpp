@@ -49,6 +49,9 @@ class ThreadPool {
   using RangeBody = std::function<void(std::size_t begin, std::size_t end,
                                        unsigned worker)>;
 
+  /// Body of a team episode: runs once per member with its id.
+  using TeamBody = std::function<void(unsigned worker)>;
+
   /// Creates a pool with `num_threads` workers (>= 1). The constructing
   /// thread acts as worker 0 during `run`.
   explicit ThreadPool(unsigned num_threads);
@@ -76,6 +79,23 @@ class ThreadPool {
            LoopSchedule schedule = LoopSchedule::kStatic, std::size_t chunk = 1,
            const CancellationToken& cancel = {});
 
+  /// Team episode: runs `body(w)` exactly once for each w in
+  /// [0, team_size()), each on its own thread and all at the same time, so
+  /// members may synchronise among themselves (e.g. at a Barrier). It is one
+  /// region — run(size(), ..., kRoundRobin) with one iteration per worker —
+  /// minus the per-dispatch cancel and fault probes, because a member that
+  /// skipped its body would strand its peers at their next barrier. A
+  /// cancelled `cancel` throws before any member starts; a started team
+  /// runs to completion (the body polls the token itself). The first
+  /// exception a member throws is rethrown after every member returned.
+  /// Called from inside a worker body of any ThreadPool it runs `body(0)`
+  /// inline, a team of one, instead of deadlocking.
+  void run_team(const TeamBody& body, const CancellationToken& cancel = {});
+
+  /// Members run_team would start from the calling thread: size(), or 1
+  /// from inside a ThreadPool worker body.
+  [[nodiscard]] unsigned team_size() const;
+
   /// Hardware concurrency clamped to at least 1.
   static unsigned hardware_threads();
 
@@ -83,6 +103,7 @@ class ThreadPool {
   struct Region;  // one fork-join episode
 
   void worker_loop(unsigned worker);
+  void run_region(Region& region);
   void work_on(const Region& region, unsigned worker);
 
   const unsigned num_threads_;

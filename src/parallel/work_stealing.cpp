@@ -108,12 +108,15 @@ bool ChaseLevDeque::steal(std::uint32_t* out) {
 
 // --- WorkStealingPool: episode plumbing ------------------------------------
 
-/// One fork-join episode: either a pre-split range or a task graph. Shared
-/// read-only by workers except for the claim/termination atomics and the
-/// first captured exception.
+/// One fork-join episode: a pre-split range, a task graph, or a team.
+/// Shared read-only by workers except for the claim/termination atomics and
+/// the first captured exception.
 struct WorkStealingPool::Episode {
-  enum class Kind { kRange, kTasks };
+  enum class Kind { kRange, kTasks, kTeam };
   Kind kind = Kind::kRange;
+
+  // Team episodes: one body call per worker.
+  const TeamBody* team_body = nullptr;
 
   // Range episodes. The shards live in the episode (not the pool) so the
   // serialisation of concurrent external callers in run_episode is the only
@@ -246,10 +249,18 @@ void WorkStealingPool::execute(Episode& episode, unsigned worker) {
   tl_worker = worker;
   LocalStats stats;
   try {
-    if (episode.kind == Episode::Kind::kRange) {
-      work_range(episode, worker, stats);
-    } else {
-      work_tasks(episode, worker, stats);
+    switch (episode.kind) {
+      case Episode::Kind::kRange:
+        work_range(episode, worker, stats);
+        break;
+      case Episode::Kind::kTasks:
+        work_tasks(episode, worker, stats);
+        break;
+      case Episode::Kind::kTeam:
+        ++stats.tasks;
+        ++stats.iterations;
+        (*episode.team_body)(worker);
+        break;
     }
   } catch (...) {
     episode.capture_exception();
@@ -393,6 +404,31 @@ void WorkStealingPool::parallel_for_2d(std::size_t rows, std::size_t cols,
         }
       },
       /*chunk=*/1, cancel);
+}
+
+// --- team episodes ---------------------------------------------------------
+
+unsigned WorkStealingPool::team_size() const {
+  return tl_pool != nullptr ? 1 : num_threads_;
+}
+
+void WorkStealingPool::run_team(const TeamBody& body,
+                                const CancellationToken& cancel) {
+  if (cancel.valid() && cancel.cancel_requested()) cancel.check();
+  if (tl_pool != nullptr) {
+    body(0);  // nested: a team of one on the calling worker
+    return;
+  }
+
+  const obs::ScopedTimer region_timer(obs::Timer::kPoolRegion);
+  if (obs::Metrics* metrics = obs::current()) {
+    metrics->add(0, obs::Counter::kPoolRegions);
+  }
+
+  Episode episode;
+  episode.kind = Episode::Kind::kTeam;
+  episode.team_body = &body;
+  run_episode(episode);
 }
 
 // --- task episodes ---------------------------------------------------------

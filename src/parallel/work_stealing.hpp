@@ -17,6 +17,8 @@
 //    overflow slot are all empty. Tasks spawn successors from their body;
 //    the episode ends when every spawned task has retired. This is the
 //    substrate of the barrier-free DP level sweep (DpSyncMode::kCounters).
+//  * run_team — one member per worker for a whole SPMD region, all at the
+//    same time; the barrier DP level sweep runs each fill as one team.
 //
 // Idle workers park on a condition variable (the portable equivalent of a
 // futex wait) and are unparked by the first spawn that observes a parked
@@ -95,6 +97,9 @@ class WorkStealingPool {
   /// Body of a range episode — identical contract to ThreadPool::RangeBody.
   using RangeBody = ThreadPool::RangeBody;
 
+  /// Body of a team episode — identical contract to ThreadPool::TeamBody.
+  using TeamBody = ThreadPool::TeamBody;
+
   /// Body of a 2-d tile: receives the half-open row/column ranges of one
   /// tile and the executing worker id.
   using TileBody = std::function<void(std::size_t row_begin, std::size_t row_end,
@@ -160,11 +165,23 @@ class WorkStealingPool {
   void run_tasks(std::span<const std::uint32_t> roots, std::size_t task_bound,
                  const TaskBody& body, const CancellationToken& cancel = {});
 
+  /// Team episode with ThreadPool::run_team's contract: `body(w)` runs
+  /// exactly once for each w in [0, team_size()), all members at the same
+  /// time. Members never touch the range shards: a member that claimed a
+  /// second slot would run twice while a peer waited for it at a barrier.
+  /// A nested call from inside a worker body of any WorkStealingPool runs
+  /// `body(0)` inline.
+  void run_team(const TeamBody& body, const CancellationToken& cancel = {});
+
+  /// Members run_team would start from the calling thread: size(), or 1
+  /// from inside a WorkStealingPool worker body.
+  [[nodiscard]] unsigned team_size() const;
+
   /// Hardware concurrency clamped to at least 1.
   static unsigned hardware_threads();
 
  private:
-  struct Episode;       // one fork-join episode (range or task graph)
+  struct Episode;       // one fork-join episode (range, task graph or team)
   struct LocalStats;    // per-worker metric accumulators
 
   /// Per-worker slice source of a range episode. Owner and thieves both

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <future>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -139,24 +140,63 @@ Instance fault_instance() {
   return generate_instance(InstanceFamily::kUniform1To100, 5, 30, 3, 0);
 }
 
+// At eps = 0.2 every probe of this shape but the first two is above
+// kTeamFillMinWork, so the team engines (bucketed, spmd) sweep its levels
+// and hit "dp.level". fault_instance()'s fills are all below the cut: those
+// engines fill it inline with dp_bottom_up, which has no level site.
+Instance above_cutoff_instance() {
+  return generate_instance(InstanceFamily::kUniform1To100, 10, 50, 3, 0);
+}
+constexpr double kAboveCutoffEpsilon = 0.2;
+
 TEST(FaultInjection, CancelAtNthDpLevelAbortsTheSolve) {
-  const Instance instance = fault_instance();
-  ThreadPoolExecutor executor(2);
-  for (DpEngine engine : {DpEngine::kParallelScan, DpEngine::kParallelBucketed,
-                          DpEngine::kSpmd}) {
-    CancellationToken token = CancellationToken::make();
-    FaultInjector injector("dp.level", /*fire_at=*/2, FaultInjector::Action::kCancel,
-                           token);
-    FaultScope scope(injector);
-    PtasOptions options;
-    options.engine = engine;
-    options.executor = &executor;
-    options.spmd_threads = 2;
-    EXPECT_THROW((void)PtasSolver(options).solve(
-                     instance, SolveContext::with_token(token)),
-                 CancelledError)
-        << "engine " << static_cast<int>(engine);
-    EXPECT_TRUE(injector.fired());
+  {
+    const Instance instance = fault_instance();
+    ThreadPoolExecutor executor(2);
+    for (DpEngine engine : {DpEngine::kParallelScan, DpEngine::kParallelBucketed,
+                            DpEngine::kSpmd}) {
+      CancellationToken token = CancellationToken::make();
+      FaultInjector injector("dp.level", /*fire_at=*/2,
+                             FaultInjector::Action::kCancel, token);
+      FaultScope scope(injector);
+      PtasOptions options;
+      options.engine = engine;
+      options.executor = &executor;
+      options.spmd_threads = 2;
+      if (engine == DpEngine::kParallelScan) {
+        EXPECT_THROW((void)PtasSolver(options).solve(
+                         instance, SolveContext::with_token(token)),
+                     CancelledError);
+        EXPECT_TRUE(injector.fired());
+      } else {
+        // Every fill runs inline: no level is swept, nothing cancels.
+        const SolverResult result =
+            PtasSolver(options).solve(instance, SolveContext::with_token(token));
+        result.schedule.validate(instance);
+        EXPECT_FALSE(injector.fired()) << "engine " << static_cast<int>(engine);
+      }
+    }
+  }
+  const Instance instance = above_cutoff_instance();
+  for (const char* backend : {"threadpool", "workstealing"}) {
+    const std::unique_ptr<Executor> executor = make_executor(backend, 2);
+    for (DpEngine engine : {DpEngine::kParallelScan, DpEngine::kParallelBucketed,
+                            DpEngine::kSpmd}) {
+      CancellationToken token = CancellationToken::make();
+      FaultInjector injector("dp.level", /*fire_at=*/2,
+                             FaultInjector::Action::kCancel, token);
+      FaultScope scope(injector);
+      PtasOptions options;
+      options.epsilon = kAboveCutoffEpsilon;
+      options.engine = engine;
+      options.executor = executor.get();
+      options.spmd_threads = 2;
+      EXPECT_THROW((void)PtasSolver(options).solve(
+                       instance, SolveContext::with_token(token)),
+                   CancelledError)
+          << backend << " engine " << static_cast<int>(engine);
+      EXPECT_TRUE(injector.fired()) << backend << " engine " << static_cast<int>(engine);
+    }
   }
 }
 
@@ -195,25 +235,55 @@ TEST(FaultInjection, ThrowAtNthExecutorTaskPropagatesAndPoolSurvives) {
 }
 
 TEST(FaultInjection, CancelMidDpLeavesThePoolReusable) {
-  const Instance instance = fault_instance();
-  ThreadPoolExecutor executor(2);
   {
-    CancellationToken token = CancellationToken::make();
-    FaultInjector injector("dp.level", /*fire_at=*/3,
-                           FaultInjector::Action::kCancel, token);
-    FaultScope scope(injector);
+    // fault_instance() fills inline: the injector never fires, the solve
+    // completes, and the pool it never used stays usable.
+    const Instance instance = fault_instance();
+    ThreadPoolExecutor executor(2);
+    {
+      CancellationToken token = CancellationToken::make();
+      FaultInjector injector("dp.level", /*fire_at=*/3,
+                             FaultInjector::Action::kCancel, token);
+      FaultScope scope(injector);
+      PtasOptions options;
+      options.engine = DpEngine::kParallelBucketed;
+      options.executor = &executor;
+      PtasSolver(options)
+          .solve(instance, SolveContext::with_token(token))
+          .schedule.validate(instance);
+      EXPECT_FALSE(injector.fired());
+    }
     PtasOptions options;
     options.engine = DpEngine::kParallelBucketed;
     options.executor = &executor;
-    EXPECT_THROW((void)PtasSolver(options).solve(
-                     instance, SolveContext::with_token(token)),
-                 CancelledError);
+    const SolverResult result = PtasSolver(options).solve(instance);
+    result.schedule.validate(instance);
   }
-  PtasOptions options;
-  options.engine = DpEngine::kParallelBucketed;
-  options.executor = &executor;
-  const SolverResult result = PtasSolver(options).solve(instance);
-  result.schedule.validate(instance);
+  const Instance instance = above_cutoff_instance();
+  PtasOptions reference;
+  reference.epsilon = kAboveCutoffEpsilon;
+  const Time expected = PtasSolver(reference).solve(instance).makespan;
+  for (const char* backend : {"threadpool", "workstealing"}) {
+    const std::unique_ptr<Executor> executor = make_executor(backend, 2);
+    PtasOptions options;
+    options.epsilon = kAboveCutoffEpsilon;
+    options.engine = DpEngine::kParallelBucketed;
+    options.executor = executor.get();
+    {
+      CancellationToken token = CancellationToken::make();
+      FaultInjector injector("dp.level", /*fire_at=*/3,
+                             FaultInjector::Action::kCancel, token);
+      FaultScope scope(injector);
+      EXPECT_THROW((void)PtasSolver(options).solve(
+                       instance, SolveContext::with_token(token)),
+                   CancelledError)
+          << backend;
+      EXPECT_TRUE(injector.fired()) << backend;
+    }
+    const SolverResult result = PtasSolver(options).solve(instance);
+    result.schedule.validate(instance);
+    EXPECT_EQ(result.makespan, expected) << backend;
+  }
 }
 
 TEST(FaultInjection, CancelAtNthMipNodeReturnsIncumbent) {

@@ -3,8 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
+#include <mutex>
+#include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
+#include "parallel/barrier.hpp"
 #include "util/error.hpp"
 
 namespace pcmax {
@@ -115,6 +123,127 @@ TEST(Executor, ParallelSumEquivalenceAcrossBackends) {
   OpenMPExecutor omp(4);
   EXPECT_EQ(sum_with(omp), expected);
 #endif
+}
+
+// --- run_team contract -----------------------------------------------------
+
+/// Every backend this build has, at `threads` workers ("sequential" only at
+/// one).
+std::vector<std::unique_ptr<Executor>> team_executors(unsigned threads) {
+  std::vector<std::unique_ptr<Executor>> executors;
+  if (threads == 1) executors.push_back(make_executor("sequential", 1));
+  executors.push_back(make_executor("threadpool", threads));
+  executors.push_back(make_executor("workstealing", threads));
+#if defined(PCMAX_HAVE_OPENMP)
+  executors.push_back(make_executor("openmp", threads));
+#endif
+  return executors;
+}
+
+TEST(RunTeam, EveryMemberRunsOnceOnItsOwnThreadAllAtOnce) {
+  // A Barrier of the team's size inside the body only completes if every
+  // member runs at the same time; the thread ids prove one thread each.
+  for (const unsigned threads : {1u, 2u, 3u, 4u}) {
+    for (const auto& executor : team_executors(threads)) {
+      const std::string what = executor->name() + "/t" + std::to_string(threads);
+      const unsigned members = executor->team_size();
+      ASSERT_EQ(members, threads) << what;
+      for (int round = 0; round < 3; ++round) {
+        Barrier barrier(members);
+        std::vector<std::atomic<int>> runs(members);
+        std::mutex ids_mutex;
+        std::set<std::thread::id> ids;
+        executor->run_team([&](unsigned worker) {
+          if (worker < members) runs[worker].fetch_add(1, std::memory_order_relaxed);
+          {
+            const std::lock_guard lock(ids_mutex);
+            ids.insert(std::this_thread::get_id());
+          }
+          barrier.arrive_and_wait();
+          barrier.arrive_and_wait();  // a second cycle: the team stays together
+        });
+        for (unsigned w = 0; w < members; ++w) EXPECT_EQ(runs[w].load(), 1) << what;
+        EXPECT_EQ(ids.size(), members) << what;
+      }
+    }
+  }
+}
+
+TEST(RunTeam, MemberExceptionIsRethrownAfterEveryMemberReturned) {
+  for (const unsigned threads : {1u, 3u}) {
+    for (const auto& executor : team_executors(threads)) {
+      const std::string what = executor->name() + "/t" + std::to_string(threads);
+      const unsigned members = executor->team_size();
+      std::atomic<unsigned> finished{0};
+      EXPECT_THROW(executor->run_team([&](unsigned worker) {
+        if (worker == members - 1) throw ResourceLimitError("member failed");
+        // The peers outlive the thrower; the rethrow must wait for them.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        finished.fetch_add(1, std::memory_order_relaxed);
+      }),
+                   ResourceLimitError)
+          << what;
+      EXPECT_EQ(finished.load(), members - 1) << what;
+
+      // The executor is reusable afterwards, for teams and ranges alike.
+      std::atomic<unsigned> ran{0};
+      executor->run_team([&](unsigned) { ran.fetch_add(1); });
+      EXPECT_EQ(ran.load(), members) << what;
+      check_covers_once(*executor, 257);
+    }
+  }
+}
+
+TEST(RunTeam, NestedCallRunsInlineAsATeamOfOne) {
+  for (const auto& executor : team_executors(3)) {
+    const std::string what = executor->name();
+    std::atomic<unsigned> inner_runs{0};
+    std::atomic<unsigned> bad{0};
+    executor->run_team([&](unsigned) {
+      if (executor->team_size() != 1) bad.fetch_add(1);
+      const std::thread::id outer = std::this_thread::get_id();
+      executor->run_team([&](unsigned inner_worker) {
+        if (inner_worker != 0 || std::this_thread::get_id() != outer) bad.fetch_add(1);
+        inner_runs.fetch_add(1);
+      });
+    });
+    EXPECT_EQ(inner_runs.load(), 3u) << what;
+    EXPECT_EQ(bad.load(), 0u) << what;
+    EXPECT_EQ(executor->team_size(), 3u) << what;  // outside a worker again
+  }
+}
+
+TEST(RunTeam, CancelledTokenThrowsBeforeAnyMemberStarts) {
+  for (const auto& executor : team_executors(2)) {
+    CancellationToken token = CancellationToken::make();
+    token.request_cancel();
+    std::atomic<int> ran{0};
+    EXPECT_THROW(executor->run_team([&](unsigned) { ran.fetch_add(1); }, token),
+                 CancelledError)
+        << executor->name();
+    EXPECT_EQ(ran.load(), 0) << executor->name();
+  }
+}
+
+TEST(RunTeam, EachEpisodeIsOneRegion) {
+  if constexpr (!obs::kMetricsEnabled) GTEST_SKIP() << "PCMAX_METRICS is OFF";
+  for (const auto& executor : team_executors(2)) {
+    obs::Metrics metrics(2);
+    {
+      const obs::MetricsScope scope(metrics);
+      for (int i = 0; i < 5; ++i) executor->run_team([](unsigned) {});
+    }
+    EXPECT_EQ(metrics.counter_total(obs::Counter::kPoolRegions), 5u) << executor->name();
+  }
+  // The sequential executor's team of one is inline: no region at all.
+  obs::Metrics metrics(1);
+  {
+    const obs::MetricsScope scope(metrics);
+    SequentialExecutor sequential;
+    Executor& base = sequential;  // the default cancel argument lives here
+    base.run_team([](unsigned) {});
+  }
+  EXPECT_EQ(metrics.counter_total(obs::Counter::kPoolRegions), 0u);
 }
 
 }  // namespace

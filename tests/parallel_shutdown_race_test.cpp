@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "parallel/barrier.hpp"
 #include "parallel/bounded_queue.hpp"
 #include "parallel/executor.hpp"
 #include "parallel/thread_pool.hpp"
@@ -144,6 +145,30 @@ TEST(ShutdownRace, ExecutorsDestroyedRightAfterParallelFor) {
             LoopSchedule::kDynamic, /*chunk=*/1);
       }
       ASSERT_EQ(covered.load(), 32u) << backend;
+    }
+  }
+}
+
+TEST(ShutdownRace, BackToBackTeamsThenDestroy) {
+  // Team episodes back to back (each ending in a barrier cycle, so members
+  // leave the episode together), then the executor destroyed right after the
+  // last one — construct/destroy churn over 1..8 threads on both pools.
+  for (int round = 0; round < 48; ++round) {
+    const unsigned threads = 1 + static_cast<unsigned>(round % 8);
+    for (const char* backend : {"threadpool", "workstealing"}) {
+      constexpr int kTeams = 20;
+      std::atomic<std::size_t> members{0};
+      {
+        const std::unique_ptr<Executor> executor = make_executor(backend, threads);
+        Barrier barrier(threads);
+        for (int team = 0; team < kTeams; ++team) {
+          executor->run_team([&](unsigned) {
+            members.fetch_add(1, std::memory_order_relaxed);
+            barrier.arrive_and_wait();
+          });
+        }
+      }  // destructor races the last episode's wind-down
+      ASSERT_EQ(members.load(), std::size_t{kTeams} * threads) << backend;
     }
   }
 }

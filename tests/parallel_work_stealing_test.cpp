@@ -1,5 +1,5 @@
 // Functional tests of the work-stealing substrate: the Chase-Lev deque's
-// owner/thief contract, the pool's range and task episodes (coverage,
+// owner/thief contract, the pool's range, task and team episodes (coverage,
 // nesting, cancellation, error propagation, guaranteed steal hand-off, the
 // deterministic "pool.steal" fault site), and the WorkStealingExecutor
 // adapter. The sanitize-labelled work_stealing_stress_test hammers the same
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "parallel/barrier.hpp"
 #include "parallel/executor.hpp"
 #include "parallel/work_stealing.hpp"
 #include "util/error.hpp"
@@ -396,6 +397,72 @@ TEST(WorkStealingPool, TaskGraphValidation) {
                                     WorkStealingPool::TaskContext&) {});
                            }),
       InvalidArgumentError);
+}
+
+TEST(WorkStealingPool, TeamRunsEveryMemberOnceAllAtOnce) {
+  // A team is its own episode kind: members never claim range slices, so a
+  // Barrier of the pool's size inside the body completes, and each id runs
+  // exactly once on its own thread — back to back, with range episodes and
+  // task graphs in between.
+  constexpr unsigned kThreads = 4;
+  WorkStealingPool pool(kThreads);
+  EXPECT_EQ(pool.team_size(), kThreads);
+  for (int round = 0; round < 20; ++round) {
+    Barrier barrier(kThreads);
+    std::vector<std::atomic<int>> runs(kThreads);
+    std::vector<std::thread::id> ids(kThreads);
+    pool.run_team([&](unsigned worker) {
+      runs[worker].fetch_add(1, std::memory_order_relaxed);
+      ids[worker] = std::this_thread::get_id();
+      barrier.arrive_and_wait();
+    });
+    for (unsigned w = 0; w < kThreads; ++w) ASSERT_EQ(runs[w].load(), 1) << w;
+    for (unsigned w = 1; w < kThreads; ++w) {
+      for (unsigned v = 0; v < w; ++v) ASSERT_NE(ids[w], ids[v]);
+    }
+    std::atomic<int> covered{0};
+    pool.parallel_for_1d(64, [&](std::size_t begin, std::size_t end, unsigned) {
+      covered.fetch_add(static_cast<int>(end - begin), std::memory_order_relaxed);
+    });
+    ASSERT_EQ(covered.load(), 64);
+  }
+}
+
+TEST(WorkStealingPool, TeamExceptionWaitsForPeersAndPoolSurvives) {
+  WorkStealingPool pool(3);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(pool.run_team([&](unsigned worker) {
+    if (worker == 1) throw ResourceLimitError("member 1 failed");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    finished.fetch_add(1, std::memory_order_relaxed);
+  }),
+               ResourceLimitError);
+  EXPECT_EQ(finished.load(), 2);  // both peers returned before the rethrow
+  std::atomic<int> ran{0};
+  pool.run_team([&](unsigned) { ran.fetch_add(1, std::memory_order_relaxed); });
+  EXPECT_EQ(ran.load(), 3);
+}
+
+TEST(WorkStealingPool, NestedTeamRunsInlineAsATeamOfOne) {
+  WorkStealingPool pool(2);
+  WorkStealingPool other(2);
+  std::atomic<int> inner{0};
+  std::atomic<int> bad{0};
+  // From a range body and from a team member, into the same pool and into
+  // another one: always body(0) on the calling thread.
+  pool.parallel_for_1d(2, [&](std::size_t, std::size_t, unsigned) {
+    if (pool.team_size() != 1 || other.team_size() != 1) bad.fetch_add(1);
+    pool.run_team([&](unsigned w) { inner.fetch_add(w == 0 ? 1 : 100); });
+  }, /*chunk=*/1);
+  pool.run_team([&](unsigned) {
+    const std::thread::id outer = std::this_thread::get_id();
+    other.run_team([&](unsigned w) {
+      if (w != 0 || std::this_thread::get_id() != outer) bad.fetch_add(1);
+      inner.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(inner.load(), 4);
+  EXPECT_EQ(bad.load(), 0);
 }
 
 TEST(WorkStealingExecutor, AdaptsThePoolBehindTheExecutorInterface) {

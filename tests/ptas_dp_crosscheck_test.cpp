@@ -7,17 +7,26 @@
 // A second family of cross-checks covers the parallel realisations: every
 // ParallelDpVariant under every LoopSchedule must reproduce the sequential
 // bottom-up table byte for byte (values AND argmin choices) and perform the
-// identical number of entry computations, across randomized shapes.
+// identical number of entry computations, across randomized shapes. The
+// team sweep (one Executor::run_team episode per fill) is checked against
+// the sequential reference at 1, 2, 3 and 8 threads on every executor
+// backend, and PtasSolver's inline cutoff on both sides of
+// kTeamFillMinWork.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "algo/ptas/config_enum.hpp"
 #include "algo/ptas/dp_chunk_graph.hpp"
 #include "algo/ptas/dp_parallel.hpp"
 #include "algo/ptas/dp_sequential.hpp"
+#include "algo/ptas/ptas.hpp"
 #include "core/instance.hpp"
+#include "core/instance_gen.hpp"
 #include "exact/bin_feasibility.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/executor.hpp"
@@ -185,6 +194,119 @@ TEST(DpCrossCheck, AllVariantsAndSchedulesMatchSequentialOnRandomShapes) {
               << what;
         }
       }
+    }
+  }
+}
+
+/// Executor backends of the team-sweep matrix: every backend this build has.
+std::vector<std::string> team_backends() {
+  std::vector<std::string> backends{"threadpool", "workstealing"};
+#if defined(PCMAX_HAVE_OPENMP)
+  backends.emplace_back("openmp");
+#endif
+  return backends;
+}
+
+TEST(DpCrossCheck, TeamSweepMatchesBottomUpAtEveryThreadCount) {
+  // The serial reference first, then the team sweep at 1, 2, 3 and 8
+  // threads: bucketed on every executor backend and spmd on its own
+  // threads, walker and indexed. Each must reproduce dp_bottom_up byte for
+  // byte (values and argmin choices), and a bucketed fill is one region.
+  Xoshiro256StarStar rng(0x7EA3);
+  for (int round = 0; round < 3; ++round) {
+    const Time target = uniform_int(rng, 25, 60);
+    const int dims = static_cast<int>(uniform_int(rng, 2, 3));
+    std::vector<Time> sizes;
+    std::vector<int> counts;
+    for (int d = 0; d < dims; ++d) {
+      sizes.push_back(uniform_int(rng, target / 4 + 1, target));
+      counts.push_back(static_cast<int>(uniform_int(rng, 1, 5)));
+    }
+    const RoundedInstance rounded = make_rounded(sizes, counts, target);
+    const StateSpace space(counts, kBig);
+    const ConfigSet configs = enumerate_configs(rounded, space, kBig);
+    const DpRun reference = dp_bottom_up(rounded, space, configs);
+
+    for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+      for (const LevelIteration iteration :
+           {LevelIteration::kWalker, LevelIteration::kIndexed}) {
+        const std::string tail = "/" + level_iteration_name(iteration) + "/t" +
+                                 std::to_string(threads) + " round " +
+                                 std::to_string(round);
+        for (const std::string& backend : team_backends()) {
+          const std::unique_ptr<Executor> executor = make_executor(backend, threads);
+          ParallelDpOptions options;
+          options.executor = executor.get();
+          options.variant = ParallelDpVariant::kBucketed;
+          options.iteration = iteration;
+          obs::Metrics metrics(threads);
+          const DpRun run = [&] {
+            const obs::MetricsScope scope(metrics);
+            return dp_parallel(rounded, space, configs, options);
+          }();
+          const std::string what = "bucketed/" + backend + tail;
+          expect_identical_tables(reference, run, what);
+          EXPECT_EQ(run.stats.entries_computed, space.size()) << what;
+          if constexpr (obs::kMetricsEnabled) {
+            EXPECT_EQ(metrics.counter_total(obs::Counter::kPoolRegions), 1u) << what;
+          }
+        }
+        ParallelDpOptions options;
+        options.variant = ParallelDpVariant::kSpmd;
+        options.spmd_threads = threads;
+        options.iteration = iteration;
+        const DpRun run = dp_parallel(rounded, space, configs, options);
+        expect_identical_tables(reference, run, "spmd" + tail);
+      }
+    }
+  }
+}
+
+/// pool.regions of one PtasSolver solve, and the solve's probe trace.
+std::pair<std::uint64_t, PtasResult> solve_counting_regions(
+    const Instance& instance, const PtasOptions& options) {
+  obs::Metrics metrics(4);
+  PtasResult result;
+  {
+    const obs::MetricsScope scope(metrics);
+    result = PtasSolver(options).solve_with_trace(instance);
+  }
+  return {metrics.counter_total(obs::Counter::kPoolRegions), std::move(result)};
+}
+
+TEST(DpCrossCheck, PtasSolverFillsInlineBelowTheCutoffAndInOneTeamAbove) {
+  if constexpr (!obs::kMetricsEnabled) GTEST_SKIP() << "PCMAX_METRICS is OFF";
+  // Below kTeamFillMinWork a parallel-bucketed fill runs inline (no region);
+  // at or above it the fill is exactly one team episode. Either way the
+  // makespan is the sequential engine's.
+  const auto work = [](const BisectionIteration& probe) {
+    return static_cast<std::uint64_t>(probe.table_size) * probe.config_count;
+  };
+  const Instance small = generate_instance(InstanceFamily::kUniform1To100, 5, 30, 3, 0);
+  const Instance large = generate_instance(InstanceFamily::kUniform1To100, 10, 50, 3, 0);
+  for (const char* backend : {"threadpool", "workstealing"}) {
+    const std::unique_ptr<Executor> executor = make_executor(backend, 2);
+    for (const auto& [instance, epsilon] :
+         {std::pair{&small, 0.3}, std::pair{&large, 0.2}}) {
+      PtasOptions options;
+      options.epsilon = epsilon;
+      options.keep_trace = true;
+      const Time expected = PtasSolver(options).solve(*instance).makespan;
+      options.engine = DpEngine::kParallelBucketed;
+      options.executor = executor.get();
+      const auto [regions, result] = solve_counting_regions(*instance, options);
+      std::uint64_t above = 0;
+      for (const BisectionIteration& probe : result.bisection.trace) {
+        if (work(probe) >= kTeamFillMinWork) ++above;
+      }
+      const std::string what = std::string(backend) + " eps " + std::to_string(epsilon);
+      if (instance == &small) {
+        EXPECT_EQ(above, 0u) << what;
+      } else {
+        EXPECT_GT(above, 0u) << what;
+      }
+      EXPECT_EQ(regions, above) << what;
+      EXPECT_EQ(result.makespan, expected) << what;
     }
   }
 }

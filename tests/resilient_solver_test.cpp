@@ -90,13 +90,18 @@ TEST(ResilientSolver, ExternalCancelBeforeSolveFallsBack) {
 TEST(ResilientSolver, FaultMidDpDegradesWithCorrectReason) {
   // The acceptance scenario: a FaultInjector cancel mid-DP must yield a
   // valid LPT-or-better schedule and degradation_reason == "cancelled".
-  const Instance instance = small_instance();
+  // At eps = 0.2 this shape's later probes are above kTeamFillMinWork, so
+  // the bucketed engine sweeps their levels (smaller fills run inline as
+  // dp_bottom_up and never reach the "dp.level" site).
+  const Instance instance =
+      generate_instance(InstanceFamily::kUniform1To100, 10, 50, 3, 0);
   CancellationToken token = CancellationToken::make();
   FaultInjector injector("dp.level", /*fire_at=*/2,
                          FaultInjector::Action::kCancel, token);
   FaultScope scope(injector);
   ThreadPoolExecutor executor(2);
   ResilientOptions options;
+  options.ptas.epsilon = 0.2;
   options.ptas.engine = DpEngine::kParallelBucketed;
   options.ptas.executor = &executor;
   const SolverResult result =

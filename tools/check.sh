@@ -23,7 +23,8 @@
 # single-shard arm and the sharded arm with its scale section — behind
 # BENCH_storm.json. The TSan tree picks the chaos soak and the async
 # SolveFuture stress up twice: they carry `sanitize` alongside their own
-# labels.
+# labels. It also repeats the team-episode tests (Executor::run_team, the
+# spin-then-block Barrier, the team DP sweep) three times.
 #
 # Build trees live in build-check/, build-simd/, build-nosimd/, and
 # build-tsan/ so they never clobber a developer's main build/ directory.
@@ -83,6 +84,13 @@ run_tsan() {
     -DPCMAX_SANITIZE=thread
   cmake --build build-tsan -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L sanitize
+  echo "== ThreadSanitizer tree: team episodes, 3 repeats =="
+  # run_team contract and stress (all backends, nested teams, member
+  # exceptions, back-to-back teams with pool churn), the spin-then-block
+  # barrier, and the team DP sweep cross-checks. Their interleavings vary
+  # from run to run, so they repeat.
+  ctest --test-dir build-tsan --output-on-failure -L sanitize \
+    -R 'Team|Barrier\.' --repeat until-fail:3
   echo "== ThreadSanitizer tree: sharding equivalence + async futures =="
   ctest --test-dir build-tsan --output-on-failure -L service-sharded
   echo "== ThreadSanitizer tree: problem variants =="
