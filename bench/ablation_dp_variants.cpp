@@ -5,8 +5,9 @@
 //    waste versus pre-bucketing the levels once?
 //  * how much smaller is the top-down (memoised) state set than the full
 //    table the bottom-up/parallel variants fill?
-//  * what do fork-join-per-level (executor) vs persistent-threads+barrier
-//    (SPMD) cost in wall time at various thread counts?
+//  * what do a fork-join region per level (scan/level) vs one team episode
+//    per fill with a barrier between levels (bucketed) cost in wall time at
+//    various thread counts?
 //  * how much faster is the level-aware kernel (walker iteration + level
 //    pruning + values-only probes) than the pre-optimisation baseline
 //    (indexed iteration, unpruned scans, choices everywhere)?
@@ -83,7 +84,6 @@ VariantStats run_variant(const VariantSpec& variant, InstanceFamily family,
     PtasOptions options;
     options.epsilon = epsilon;
     options.engine = variant.engine;
-    options.spmd_threads = variant.threads;
     options.kernel = variant.kernel;
     options.speculation = variant.speculation;
     options.iteration = variant.iteration;
@@ -161,10 +161,8 @@ int main(int argc, char** argv) {
       // Parallelisation-strategy ablation (real threads).
       {"scan/level x2", DpEngine::kParallelScan, 2},
       {"bucketed x2", DpEngine::kParallelBucketed, 2},
-      {"spmd x2", DpEngine::kSpmd, 2},
       {"scan/level x4", DpEngine::kParallelScan, 4},
       {"bucketed x4", DpEngine::kParallelBucketed, 4},
-      {"spmd x4", DpEngine::kSpmd, 4},
       // Search-strategy extension: speculative multisection over targets.
       {"bottom-up, 4-way specul.", DpEngine::kBottomUp, 1,
        DpKernel::kGlobalConfigs, 4},

@@ -45,7 +45,6 @@ pcmax_add_bench(epsilon_sweep)
 pcmax_add_bench(service_throughput)
 pcmax_add_bench(service_storm)
 pcmax_add_bench(portfolio_race)
-pcmax_add_bench(micro_pool)
 pcmax_add_micro(micro_dp NO_MAIN)
 pcmax_add_micro(micro_parallel)
 
@@ -96,13 +95,10 @@ add_test(NAME bench_smoke_storm_variants
 add_test(NAME bench_smoke_portfolio
          COMMAND portfolio_race --limit-sizes 1 --exact-seconds 1
                  --json ${CMAKE_BINARY_DIR}/bench/smoke_portfolio.json)
-add_test(NAME bench_smoke_micro_pool
-         COMMAND micro_pool --threads 2 --trials 1 --tasks 1024
-                 --json ${CMAKE_BINARY_DIR}/bench/smoke_micro_pool.json)
 set_tests_properties(bench_smoke_ablation bench_smoke_ablation_json
                      bench_smoke_ablation_schema
                      bench_smoke_micro_dp bench_smoke_service
                      bench_smoke_storm bench_smoke_storm_sharded
                      bench_smoke_storm_variants
-                     bench_smoke_portfolio bench_smoke_micro_pool
+                     bench_smoke_portfolio
                      PROPERTIES LABELS "bench-smoke" TIMEOUT 120)

@@ -1,18 +1,13 @@
 #include "algo/ptas/dp_parallel.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <exception>
-#include <functional>
 #include <limits>
 #include <mutex>
 #include <optional>
-#include <thread>
 
-#include "algo/ptas/dp_chunk_graph.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/barrier.hpp"
-#include "parallel/work_stealing.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 
@@ -22,7 +17,6 @@ std::string parallel_dp_variant_name(ParallelDpVariant variant) {
   switch (variant) {
     case ParallelDpVariant::kScanPerLevel: return "scan-per-level";
     case ParallelDpVariant::kBucketed: return "bucketed";
-    case ParallelDpVariant::kSpmd: return "spmd";
   }
   throw InvalidArgumentError("unknown parallel DP variant");
 }
@@ -33,14 +27,6 @@ std::string level_iteration_name(LevelIteration iteration) {
     case LevelIteration::kIndexed: return "indexed";
   }
   throw InvalidArgumentError("unknown level iteration");
-}
-
-std::string dp_sync_mode_name(DpSyncMode mode) {
-  switch (mode) {
-    case DpSyncMode::kBarrier: return "barrier";
-    case DpSyncMode::kCounters: return "counters";
-  }
-  throw InvalidArgumentError("unknown DP sync mode");
 }
 
 namespace {
@@ -66,16 +52,8 @@ namespace {
 constexpr std::size_t kLevelComputeChunk = 1;
 constexpr std::size_t kScanChunk = 64;
 
-// Chunk-size clamp of the kCounters graph sweep. The nominal target splits
-// the *widest* anti-diagonal into ~4 chunks per worker (steal slack without
-// excessive graph size); the floor keeps one-entry tail levels from turning
-// into per-entry tasks whose spawn cost dwarfs a ~24 ns kernel entry, and
-// the ceiling caps the per-worker tail imbalance of a chunk.
-constexpr std::size_t kCounterChunkMin = 16;
-constexpr std::size_t kCounterChunkMax = 256;
-
-/// Amortisation period of the in-range cancellation polls (and the SPMD
-/// stop-flag polls): one acquire load every 256 entries keeps the poll cost
+/// Amortisation period of the in-range cancellation polls (and the team
+/// sweep's stop-flag polls): one acquire load every 256 entries keeps the poll cost
 /// well below the per-entry config scan while still bounding the reaction
 /// latency to a few microseconds of work.
 constexpr std::uint32_t kCancelPollPeriod = 256;
@@ -138,8 +116,7 @@ namespace {
 /// Per-worker counters on separate cache lines to avoid false sharing.
 struct alignas(64) WorkerCounters {
   std::uint64_t entries = 0;
-  DpScanCounters scan;      ///< scans/pruned/simd_blocks/scalar_fallbacks
-  std::uint64_t waits = 0;  ///< kCounters only: non-final dependency decrements
+  DpScanCounters scan;  ///< scans/pruned/simd_blocks/scalar_fallbacks
 };
 
 /// Folds the per-worker counters into the run stats and, when a metrics
@@ -155,18 +132,6 @@ void publish_run(obs::DpRunRecorder& recorder,
                         counters[w].scan.scalar_fallbacks);
   }
   recorder.finish();
-}
-
-/// Hides part of the next entry's predecessor-gather latency: touch the
-/// cache line of its densest predecessor (smallest encoded offset) while
-/// the current entry's scan is still in flight. `first_offset` 0 means "no
-/// configs" and disables the prefetch.
-inline void prefetch_first_predecessor(std::size_t next_index,
-                                       std::size_t first_offset,
-                                       const std::int32_t* values) {
-  if (first_offset != 0 && first_offset <= next_index) {
-    __builtin_prefetch(values + (next_index - first_offset));
-  }
 }
 
 /// Number of entries on each anti-diagonal, from the precomputed level
@@ -279,20 +244,15 @@ void run_scan_per_level(const RoundedInstance& rounded, const StateSpace& space,
   publish_run(recorder, counters, run);
 }
 
-/// The barrier-synchronised level sweep of kBucketed and kSpmd (paper
-/// Algorithm 3): `members` threads each run `worker_fn` once, split every
-/// anti-diagonal between them, and meet at a barrier between levels. The two
-/// engines differ only in who supplies the threads — `launch` runs
-/// `worker_fn` once per member id, concurrently, and returns after all of
-/// them did: one executor team episode for kBucketed, run-scoped
-/// std::threads for kSpmd. A team of one runs the same sweep on the caller
-/// with a barrier that returns at once.
+/// The barrier-synchronised level sweep of kBucketed (paper Algorithm 3):
+/// one executor team episode whose members split every anti-diagonal between
+/// them and meet at a barrier between levels. A team of one runs the same
+/// sweep on the caller with a barrier that returns at once.
 void run_level_sweep(const RoundedInstance& rounded, const StateSpace& space,
                      const ConfigSet& configs, DpKernel kernel,
                      LevelIteration iteration, LevelPruning pruning,
-                     unsigned members, const char* variant,
-                     const std::function<void(const ThreadPool::TeamBody&)>& launch,
-                     const CancellationToken& cancel, DpRun& run) {
+                     Executor& executor, const CancellationToken& cancel,
+                     DpRun& run) {
   // The indexed baseline precomputes the level array and bucket order once,
   // on the caller; the walker path needs neither.
   std::vector<std::int32_t> levels;
@@ -303,12 +263,13 @@ void run_level_sweep(const RoundedInstance& rounded, const StateSpace& space,
     index = build_level_index(space, levels);
   }
 
+  const unsigned members = executor.team_size();
   Barrier barrier(members);
   std::vector<WorkerCounters> counters(members);
   // Walker workers own a contiguous rank block of each level ("block");
   // the indexed baseline keeps the paper's round-robin slotting.
   obs::DpRunRecorder recorder(
-      variant, iteration == LevelIteration::kWalker ? "block" : "round-robin",
+      "bucketed", iteration == LevelIteration::kWalker ? "block" : "round-robin",
       space.size(), space.max_level() + 1);
 
   // Barrier-safe stop protocol. A worker that observes a stop request must
@@ -406,7 +367,7 @@ void run_level_sweep(const RoundedInstance& rounded, const StateSpace& space,
       if (worker == 0) recorder.level_end(level, width, level_t0);
     }
   };
-  launch(worker_fn);
+  executor.run_team(worker_fn, cancel);
 
   if (stop_error) std::rethrow_exception(stop_error);
   if (stop_pending.load(std::memory_order_relaxed)) {
@@ -414,109 +375,6 @@ void run_level_sweep(const RoundedInstance& rounded, const StateSpace& space,
     throw CancelledError("DP level sweep stopped");  // defensive: unreachable
   }
   publish_run(recorder, counters, run);
-}
-
-void run_counters(const RoundedInstance& rounded, const StateSpace& space,
-                  const ConfigSet& configs, DpKernel kernel,
-                  LevelIteration iteration, LevelPruning pruning,
-                  WorkStealingPool& pool, const CancellationToken& cancel,
-                  DpRun& run, const char* variant) {
-  const unsigned workers = pool.size();
-  std::vector<WorkerCounters> counters(workers);
-
-  LevelWalker proto(space);
-  std::uint64_t max_width = 1;
-  for (int l = 0; l <= space.max_level(); ++l) {
-    max_width = std::max(max_width, proto.level_size(l));
-  }
-  const std::size_t target =
-      std::clamp(static_cast<std::size_t>(max_width / (4 * workers)),
-                 kCounterChunkMin, kCounterChunkMax);
-  const DpChunkGraph graph = build_chunk_graph(space, target);
-
-  // kIndexed baseline inputs, computed sequentially (the pool owns the
-  // threads; per-level slot order equals walker rank order because the
-  // counting sort emits each level's indices ascending).
-  std::vector<std::int32_t> levels;
-  LevelIndex index;
-  if (iteration == LevelIteration::kIndexed) {
-    SequentialExecutor seq;
-    levels = compute_levels(space, seq, cancel);
-    index = build_level_index(space, levels);
-  }
-
-  obs::DpRunRecorder recorder(variant, "graph", space.size(),
-                              space.max_level() + 1);
-
-  std::vector<std::atomic<std::uint32_t>> deps(graph.chunks.size());
-  std::vector<std::uint32_t> roots;
-  for (std::size_t j = 0; j < graph.chunks.size(); ++j) {
-    deps[j].store(graph.chunks[j].dep_chunks, std::memory_order_relaxed);
-    if (graph.chunks[j].dep_chunks == 0) {
-      roots.push_back(static_cast<std::uint32_t>(j));
-    }
-  }
-
-  const bool armed = cancel.valid();
-  std::vector<LevelWalker> walkers(workers, proto);
-  std::vector<std::vector<int>> scratch(
-      workers, std::vector<int>(static_cast<std::size_t>(space.dims())));
-
-  auto body = [&](std::uint32_t id, WorkStealingPool::TaskContext& ctx) {
-    const DpChunk& chunk = graph.chunks[id];
-    const unsigned worker = ctx.worker();
-    WorkerCounters& wc = counters[worker];
-    fault_hit("dp.chunk");
-    CancelCheck range_check(cancel, kCancelPollPeriod);
-    if (iteration == LevelIteration::kWalker) {
-      LevelWalker& walker = walkers[worker];
-      walker.seek(chunk.level, chunk.rank_begin);
-      for (std::uint64_t rank = chunk.rank_begin; rank < chunk.rank_end;
-           ++rank) {
-        if (armed) range_check.poll();
-        process_entry(walker.index(), walker.digits(), chunk.level, rounded,
-                      space, configs, kernel, pruning, run.table, wc);
-        if (rank + 1 < chunk.rank_end) walker.next();
-      }
-    } else {
-      const std::size_t base =
-          index.level_begin[static_cast<std::size_t>(chunk.level)];
-      const std::size_t first_offset =
-          configs.count() > 0 ? configs.offsets[0] : 0;
-      for (std::uint64_t rank = chunk.rank_begin; rank < chunk.rank_end;
-           ++rank) {
-        if (armed) range_check.poll();
-        if (rank + 1 < chunk.rank_end) {
-          prefetch_first_predecessor(index.order[base + rank + 1],
-                                     first_offset, run.table.values_data());
-        }
-        process_index(index.order[base + rank], chunk.level, rounded, space,
-                      configs, kernel, pruning, run.table, scratch[worker], wc);
-      }
-    }
-    // Publication chain of the table writes above: the acq_rel decrement
-    // makes them visible to whichever worker performs the final decrement,
-    // and the spawn hands them on through the deque slot's release/acquire
-    // edge, so a dependant chunk always reads completed predecessors.
-    for (std::uint32_t succ = chunk.succ_begin; succ < chunk.succ_end; ++succ) {
-      if (deps[succ].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        ctx.spawn(succ);
-      } else {
-        ++wc.waits;
-      }
-    }
-  };
-  pool.run_tasks(roots, graph.chunks.size(), body, cancel);
-
-  publish_run(recorder, counters, run);
-  if (obs::Metrics* metrics = obs::current()) {
-    for (std::size_t w = 0; w < counters.size(); ++w) {
-      if (counters[w].waits > 0) {
-        metrics->add(static_cast<unsigned>(w), obs::Counter::kDpChunkWaits,
-                     counters[w].waits);
-      }
-    }
-  }
 }
 
 }  // namespace
@@ -535,56 +393,14 @@ DpRun dp_parallel(const RoundedInstance& rounded, const StateSpace& space,
     case ParallelDpVariant::kScanPerLevel:
       PCMAX_REQUIRE(options.executor != nullptr,
                     "scan-per-level variant needs an executor");
-      PCMAX_REQUIRE(options.sync_mode == DpSyncMode::kBarrier,
-                    "scan-per-level supports only barrier sync");
       run_scan_per_level(rounded, space, configs, kernel,
                          options.pruning, *options.executor, options.schedule,
                          options.cancel, run);
       break;
     case ParallelDpVariant::kBucketed:
       PCMAX_REQUIRE(options.executor != nullptr, "bucketed variant needs an executor");
-      if (options.sync_mode == DpSyncMode::kCounters) {
-        auto* ws = dynamic_cast<WorkStealingExecutor*>(options.executor);
-        PCMAX_REQUIRE(ws != nullptr,
-                      "counters sync needs the work-stealing executor");
-        run_counters(rounded, space, configs, kernel, options.iteration,
-                     options.pruning, ws->pool(), options.cancel, run,
-                     "bucketed-counters");
-      } else {
-        Executor& executor = *options.executor;
-        run_level_sweep(rounded, space, configs, kernel, options.iteration,
-                        options.pruning, executor.team_size(), "bucketed",
-                        [&](const ThreadPool::TeamBody& body) {
-                          executor.run_team(body, options.cancel);
-                        },
-                        options.cancel, run);
-      }
-      break;
-    case ParallelDpVariant::kSpmd:
-      PCMAX_REQUIRE(options.spmd_threads >= 1, "spmd needs at least one thread");
-      if (options.sync_mode == DpSyncMode::kCounters) {
-        // SPMD owns its threads; the counters realisation keeps that shape
-        // with a run-scoped pool of the same width.
-        WorkStealingPool pool(options.spmd_threads);
-        run_counters(rounded, space, configs, kernel, options.iteration,
-                     options.pruning, pool, options.cancel, run,
-                     "spmd-counters");
-      } else {
-        // SPMD owns its threads: started for this run, joined at its end.
-        const unsigned members = options.spmd_threads;
-        run_level_sweep(rounded, space, configs, kernel, options.iteration,
-                        options.pruning, members, "spmd",
-                        [members](const ThreadPool::TeamBody& body) {
-                          std::vector<std::thread> threads;
-                          threads.reserve(members - 1);
-                          for (unsigned w = 1; w < members; ++w) {
-                            threads.emplace_back(body, w);
-                          }
-                          body(0);
-                          for (auto& t : threads) t.join();
-                        },
-                        options.cancel, run);
-      }
+      run_level_sweep(rounded, space, configs, kernel, options.iteration,
+                      options.pruning, *options.executor, options.cancel, run);
       break;
   }
 

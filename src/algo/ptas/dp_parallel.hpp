@@ -3,7 +3,7 @@
 // Entries on the same anti-diagonal (equal digit sum d(v)) are mutually
 // independent, so the table is swept level-by-level: level l is processed by
 // P workers in parallel, and a synchronisation point separates consecutive
-// levels. Three realisations are provided:
+// levels. Two realisations are provided:
 //
 //  * kScanPerLevel — paper-faithful: first compute the level array D in
 //    parallel (Alg. 3 Lines 4-8), then for every level scan all sigma
@@ -14,9 +14,8 @@
 //    entries, and the members meet at a barrier between levels. Same
 //    results, no per-level scan (ablation: bench/ablation_dp_variants
 //    quantifies the difference) and one hand-off per fill, not per level.
-//  * kSpmd — the same level sweep on threads the run starts itself.
 //
-// kBucketed and kSpmd enumerate a level's entries either with a LevelWalker
+// kBucketed enumerates a level's entries either with a LevelWalker
 // (kWalker: rank/unrank splitting plus an amortised-O(1) composition
 // odometer; no level array, no index gather, no per-entry decode) or through
 // the legacy precomputed LevelIndex (kIndexed; kept as the measurable
@@ -36,13 +35,12 @@ namespace pcmax {
 enum class ParallelDpVariant {
   kScanPerLevel,
   kBucketed,
-  kSpmd,
 };
 
 /// Human-readable variant name for reports.
 std::string parallel_dp_variant_name(ParallelDpVariant variant);
 
-/// How kBucketed/kSpmd enumerate the entries of one anti-diagonal.
+/// How kBucketed enumerates the entries of one anti-diagonal.
 /// (kScanPerLevel always scans all sigma indices — that is its identity.)
 enum class LevelIteration {
   /// LevelWalker rank/unrank splitting: workers seek directly to their
@@ -59,55 +57,27 @@ enum class LevelIteration {
 /// Human-readable iteration name for reports.
 std::string level_iteration_name(LevelIteration iteration);
 
-/// Inter-level synchronisation of kBucketed/kSpmd.
-enum class DpSyncMode {
-  /// Full synchronisation between consecutive anti-diagonals: the team of
-  /// one run_team episode (kBucketed) or of the run's own threads (kSpmd)
-  /// meets at a spin-then-block barrier after every level. Every worker
-  /// pays the sync cost max_level times even on one-entry levels.
-  kBarrier,
-  /// Barrier-free: levels are cut into rank chunks and a chunk becomes
-  /// runnable the moment its per-chunk dependency counter (derived from
-  /// the lexicographic predecessor hull, see dp_chunk_graph.hpp) drains,
-  /// so narrow levels pipeline instead of serialising the whole pool.
-  /// Runs on the work-stealing pool: kBucketed requires the executor to
-  /// be a WorkStealingExecutor; kSpmd spins up an ephemeral pool of
-  /// spmd_threads. Not applicable to kScanPerLevel (whose per-level
-  /// full-table scan is inherently level-synchronised).
-  kCounters,
-};
-
-/// Human-readable sync-mode name for reports.
-std::string dp_sync_mode_name(DpSyncMode mode);
-
 /// Options of one parallel DP run.
 struct ParallelDpOptions {
   /// Executor running the parallel loops (kScanPerLevel) or the team
   /// episode (kBucketed); must stay alive for the duration of the call.
-  /// Ignored by kSpmd.
   Executor* executor = nullptr;
   ParallelDpVariant variant = ParallelDpVariant::kBucketed;
   /// Iteration-assignment strategy inside a level of kScanPerLevel (paper:
-  /// round-robin). The team sweep of kBucketed/kSpmd ignores it: the walker
+  /// round-robin). The team sweep of kBucketed ignores it: the walker
   /// splits each level into one contiguous block per member, the indexed
   /// baseline deals the level's slots round-robin.
   LoopSchedule schedule = LoopSchedule::kRoundRobin;
-  /// Thread count for the kSpmd variant.
-  unsigned spmd_threads = 1;
   /// Per-entry kernel: a configuration-scan kernel (kGlobalConfigs
   /// auto-selects the fastest supported one; scalar/SWAR/AVX2/AVX-512 can
   /// be forced) or the paper-faithful per-entry configuration enumeration
   /// (Alg. 3 Line 17). Resolved once per run; recorded in DpStats::kernel.
   DpKernel kernel = DpKernel::kGlobalConfigs;
-  /// Level enumeration of kBucketed/kSpmd (see LevelIteration).
+  /// Level enumeration of kBucketed (see LevelIteration).
   LevelIteration iteration = LevelIteration::kWalker;
   /// Level-prefix bound of the global-config kernel (kOff = pre-pruning
   /// baseline; identical tables either way).
   LevelPruning pruning = LevelPruning::kOn;
-  /// Inter-level synchronisation of kBucketed/kSpmd (see DpSyncMode).
-  /// Identical tables either way; kCounters trades the per-level barrier
-  /// for chunk dependency counters on the work-stealing pool.
-  DpSyncMode sync_mode = DpSyncMode::kBarrier;
   /// Values-only tables skip the choice array — sufficient for feasibility
   /// probes that only read OPT(N).
   DpTableMode table_mode = DpTableMode::kValuesAndChoices;

@@ -24,7 +24,6 @@ std::string dp_engine_name(DpEngine engine) {
     case DpEngine::kTopDown: return "top-down";
     case DpEngine::kParallelScan: return "parallel-scan";
     case DpEngine::kParallelBucketed: return "parallel-bucketed";
-    case DpEngine::kSpmd: return "spmd";
   }
   throw InvalidArgumentError("unknown DP engine");
 }
@@ -35,8 +34,6 @@ PtasSolver::PtasSolver(PtasOptions options)
                               options_.engine == DpEngine::kParallelBucketed;
   PCMAX_REQUIRE(!needs_executor || options_.executor != nullptr,
                 "parallel DP engines require an executor");
-  PCMAX_REQUIRE(options_.engine != DpEngine::kSpmd || options_.spmd_threads >= 1,
-                "spmd engine needs at least one thread");
 }
 
 std::string PtasSolver::name() const {
@@ -76,31 +73,24 @@ DpBackendFn PtasSolver::make_backend(DpTableMode mode,
       };
     }
     case DpEngine::kParallelScan:
-    case DpEngine::kParallelBucketed:
-    case DpEngine::kSpmd: {
+    case DpEngine::kParallelBucketed: {
       ParallelDpOptions dp_options;
       dp_options.executor = options_.executor;
-      dp_options.variant =
-          options_.engine == DpEngine::kParallelScan ? ParallelDpVariant::kScanPerLevel
-          : options_.engine == DpEngine::kSpmd       ? ParallelDpVariant::kSpmd
-                                                     : ParallelDpVariant::kBucketed;
+      dp_options.variant = options_.engine == DpEngine::kParallelScan
+                               ? ParallelDpVariant::kScanPerLevel
+                               : ParallelDpVariant::kBucketed;
       dp_options.schedule = options_.schedule;
-      dp_options.spmd_threads = options_.spmd_threads;
       dp_options.kernel = options_.kernel;
       dp_options.iteration = options_.iteration;
       dp_options.pruning = options_.pruning;
-      dp_options.sync_mode = options_.sync_mode;
       dp_options.table_mode = mode;
       dp_options.table_alloc = options_.table_alloc;
       dp_options.cancel = cancel;
       // A team-sweep fill too small to split runs inline on the caller as
       // dp_bottom_up (the same table; see kTeamFillMinWork). Only a team
       // wider than one thread has a hand-off and barrier waits to save.
-      const bool team_sweep =
-          options_.engine != DpEngine::kParallelScan &&
-          options_.sync_mode == DpSyncMode::kBarrier &&
-          (options_.engine == DpEngine::kSpmd ? options_.spmd_threads
-                                              : options_.executor->team_size()) > 1;
+      const bool team_sweep = options_.engine == DpEngine::kParallelBucketed &&
+                              options_.executor->team_size() > 1;
       DpOptions inline_options;
       inline_options.kernel = options_.kernel;
       inline_options.mode = mode;

@@ -24,18 +24,17 @@ enum class DpEngine {
   kBottomUp,          ///< sequential full-table fill (speedup baseline)
   kTopDown,           ///< sequential memoised recursion (paper Alg. 2 as written)
   kParallelScan,      ///< Algorithm 3, paper-faithful scan per level
-  kParallelBucketed,  ///< Algorithm 3 with pre-bucketed levels
-  kSpmd,              ///< Algorithm 3 with persistent threads + barrier
+  kParallelBucketed,  ///< Algorithm 3 as one team episode per fill
 };
 
 /// Human-readable engine name.
 std::string dp_engine_name(DpEngine engine);
 
 /// Work sigma * |C| (table entries times configurations) from which the
-/// kParallelBucketed and kSpmd engines (barrier sync, team wider than one
-/// thread) split a DP fill across their team. A smaller fill runs inline on
-/// the calling thread as dp_bottom_up: no hand-off, no barrier waits, and
-/// the same table, since every engine fills identical values and choices.
+/// kParallelBucketed engine (team wider than one thread) splits a DP fill
+/// across its team. A smaller fill runs inline on the calling thread as
+/// dp_bottom_up: no hand-off, no barrier waits, and the same table, since
+/// every engine fills identical values and choices.
 ///
 /// Measured per probe fill (min of 7 batches) on the probes of random
 /// U(1,100) / U(1,10n) / U(1,2m-1) / U(m,2m-1) instances at m/n = 20/100,
@@ -58,13 +57,11 @@ struct PtasOptions {
   double epsilon = 0.3;
   DpEngine engine = DpEngine::kBottomUp;
   /// Executor for the parallel engines; non-owning, must outlive the solver.
-  /// Ignored by sequential engines and by kSpmd.
+  /// Ignored by sequential engines.
   Executor* executor = nullptr;
   /// Per-level iteration assignment of kParallelScan (paper: round-robin).
-  /// The team sweep of kParallelBucketed/kSpmd ignores it.
+  /// The team sweep of kParallelBucketed ignores it.
   LoopSchedule schedule = LoopSchedule::kRoundRobin;
-  /// Thread count for the kSpmd engine.
-  unsigned spmd_threads = 1;
   /// Per-entry kernel. kGlobalConfigs (default) scans a precomputed global
   /// configuration set with the fastest fits-test kernel the host supports
   /// (runtime-dispatched: AVX2 > AVX-512 > SWAR); kScalar/kSwar/kAvx2/
@@ -74,18 +71,13 @@ struct PtasOptions {
   /// paper's speedup figures (kTopDown maps it to the auto-selected scan).
   /// Results are identical for every kernel.
   DpKernel kernel = DpKernel::kGlobalConfigs;
-  /// Level enumeration of the kParallelBucketed/kSpmd engines: LevelWalker
+  /// Level enumeration of the kParallelBucketed engine: LevelWalker
   /// rank/unrank slicing (kWalker, the fast path) or the legacy precomputed
   /// LevelIndex (kIndexed baseline). Identical tables either way.
   LevelIteration iteration = LevelIteration::kWalker;
   /// Level-prefix pruning of the global-config kernel (kOff = pre-pruning
   /// baseline). Identical tables either way.
   LevelPruning pruning = LevelPruning::kOn;
-  /// Inter-level synchronisation of kParallelBucketed/kSpmd: per-level
-  /// barrier (default) or barrier-free chunk dependency counters on the
-  /// work-stealing pool (kCounters; kParallelBucketed then requires
-  /// `executor` to be a WorkStealingExecutor). Identical tables either way.
-  DpSyncMode sync_mode = DpSyncMode::kBarrier;
   /// When true (default), search probes run with values-only DP tables —
   /// bisection/multisection only read OPT(N), so the choice array is dead
   /// weight there. The final reconstruction run always keeps choices.

@@ -158,28 +158,6 @@ void LevelWalker::seek(int level, std::uint64_t rank) {
   PCMAX_CHECK(remaining == 0, "unrank left level mass unassigned");
 }
 
-std::uint64_t LevelWalker::rank_lower_bound(int level,
-                                            std::span<const int> v) const {
-  PCMAX_CHECK(level >= 0 && level < levels_, "level out of range");
-  PCMAX_CHECK(v.size() == static_cast<std::size_t>(space_->dims()),
-              "vector has wrong dimensionality");
-  const auto counts = space_->counts();
-  // Sum, over each position d, the completions of every prefix that agrees
-  // with v before d and drops below it at d: u_d = x < v_d leaves
-  // `remaining - x` units for the suffix d+1.., counted by the ways table.
-  std::uint64_t rank = 0;
-  int remaining = level;
-  for (std::size_t d = 0; d < v.size(); ++d) {
-    if (remaining < 0) break;  // the equal prefix already exceeds `level`
-    for (int x = 0; x < v[d] && x <= counts[d]; ++x) {
-      const int rest = remaining - x;
-      if (rest >= 0 && rest < levels_) rank += ways(d + 1, rest);
-    }
-    remaining -= v[d];
-  }
-  return rank;
-}
-
 bool LevelWalker::next() {
   if (digits_.empty()) return false;  // dims = 0: only the origin exists
   const auto counts = space_->counts();

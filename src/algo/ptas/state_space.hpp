@@ -99,14 +99,6 @@ class LevelWalker {
   /// the level is exhausted (the walker then needs a seek() to be reused).
   bool next();
 
-  /// Number of level-`level` entries that are lexicographically smaller than
-  /// the digit vector `v` (which may lie on any level). This is the ranking
-  /// dual of seek()'s unranking, evaluated from the same suffix-count table
-  /// in O(dims * max_digit); the barrier-free DP uses it to bound the
-  /// predecessor prefix of a level chunk (see dp_chunk_graph.hpp).
-  [[nodiscard]] std::uint64_t rank_lower_bound(int level,
-                                               std::span<const int> v) const;
-
  private:
   [[nodiscard]] std::uint64_t ways(std::size_t dim, int level) const {
     return ways_[dim * static_cast<std::size_t>(levels_) +

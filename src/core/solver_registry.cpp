@@ -1,6 +1,5 @@
 #include "core/solver_registry.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "algo/ldm.hpp"
@@ -103,20 +102,11 @@ std::vector<std::string> SolverRegistry::names_supporting(
 
 namespace {
 
-DpSyncMode dp_sync_from(const std::string& name) {
-  if (name == "barrier") return DpSyncMode::kBarrier;
-  if (name == "counters") return DpSyncMode::kCounters;
-  throw InvalidArgumentError("unknown DP sync mode: " + name +
-                             " (expected barrier|counters)");
-}
-
 PtasOptions ptas_options_from(const SolverBuild& build, DpEngine engine) {
   PtasOptions options;
   options.epsilon = build.epsilon;
   options.engine = engine;
   options.executor = build.executor;
-  options.spmd_threads = std::max(1u, build.threads);
-  options.sync_mode = dp_sync_from(build.dp_sync);
   options.kernel = dp_kernel_from_name(build.dp_kernel);
   options.table_alloc =
       build.dp_huge_pages ? TableAlloc::kHugePage : TableAlloc::kDefault;
@@ -153,10 +143,6 @@ void register_builtins(SolverRegistry& registry) {
                   "parallel-ptas requires SolverBuild.executor");
     return std::make_unique<PtasSolver>(
         ptas_options_from(build, DpEngine::kParallelBucketed));
-  });
-  register_classic("spmd-ptas", [](const SolverBuild& build) {
-    return std::make_unique<PtasSolver>(
-        ptas_options_from(build, DpEngine::kSpmd));
   });
   register_classic("subset-dp", [](const SolverBuild& build) {
     return std::make_unique<SubsetDpSolver>(build.subset_dp_max_total);

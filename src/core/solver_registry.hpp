@@ -38,20 +38,9 @@ struct SolverBuild {
   /// PTAS accuracy (k = ceil(1/epsilon)).
   double epsilon = 0.3;
 
-  /// Thread count for solvers that own their threads ("spmd-ptas").
-  unsigned threads = 1;
-
   /// Executor for the pool-based parallel engines ("parallel-ptas").
   /// Non-owning; must outlive the constructed solver.
   Executor* executor = nullptr;
-
-  /// Inter-level synchronisation of the parallel PTAS DP engines
-  /// ("parallel-ptas", "spmd-ptas"): "barrier" (default) or "counters"
-  /// (barrier-free chunk-dependency sweep on the work-stealing pool;
-  /// "parallel-ptas" then requires `executor` to be a WorkStealingExecutor,
-  /// e.g. make_executor("workstealing", width)). A string rather than the
-  /// DpSyncMode enum so this header stays below the algo layer.
-  std::string dp_sync = "barrier";
 
   /// Per-entry DP kernel of the PTAS solvers: "auto" (default, the fastest
   /// fits-test kernel the host supports), "per-entry-enum", "scalar",
@@ -146,7 +135,7 @@ class SolverRegistry {
       ProblemVariant variant) const;
 
   /// The process-wide registry, preloaded with the built-in solvers:
-  /// lpt, ls, ldm, multifit, ptas, parallel-ptas, spmd-ptas, subset-dp,
+  /// lpt, ls, ldm, multifit, ptas, parallel-ptas, subset-dp,
   /// ip, milp, resilient (all variants, via the reduction adapter), and
   /// capacity-brute (capacity only, variant-native).
   static SolverRegistry& global();

@@ -20,7 +20,6 @@ const char* counter_name(Counter counter) {
     case Counter::kDpEntries: return "dp.entries";
     case Counter::kDpConfigScans: return "dp.config_scans";
     case Counter::kDpConfigsPruned: return "dp.configs_pruned";
-    case Counter::kDpChunkWaits: return "dp.chunk_waits";
     case Counter::kDpSimdBlocks: return "dp.simd_blocks";
     case Counter::kDpScalarFallbacks: return "dp.scalar_fallbacks";
     case Counter::kBisectionProbes: return "bisection.probes";

@@ -50,15 +50,14 @@ enum class Counter : unsigned {
   kPoolTasks,          ///< range-body invocations
   kPoolIterations,     ///< loop iterations processed
   kPoolDynamicClaims,  ///< successful kDynamic chunk claims
-  kPoolSteals,         ///< work items taken from another worker's shard/deque
-  kPoolParks,          ///< idle park episodes of work-stealing workers
+  kPoolSteals,         ///< range slices taken from another worker's shard
+  kPoolParks,          ///< work-stealing workers blocking for the next episode
   kBarrierWaits,       ///< Barrier::arrive_and_wait calls
   kDpRuns,             ///< DP table fills (one per bisection probe)
   kDpLevels,           ///< anti-diagonal levels swept
   kDpEntries,          ///< DP entries computed by this worker
   kDpConfigScans,      ///< configuration candidates inspected by this worker
   kDpConfigsPruned,    ///< candidates skipped via the level-prefix bound
-  kDpChunkWaits,       ///< counter-mode dependency decrements that kept a chunk waiting
   kDpSimdBlocks,       ///< full-width vector blocks processed by AVX kernels
   kDpScalarFallbacks,  ///< entries where a vector kernel degraded to SWAR/scalar
   kBisectionProbes,    ///< DP probes issued by bisection/multisection
@@ -90,7 +89,7 @@ enum class Counter : unsigned {
   kServiceFuturesExpired,      ///< deadline-expired waits answered shed:deadline
   kServiceIncrementalResolves, ///< submit_prepared re-solves (canonicalization skipped)
 };
-inline constexpr std::size_t kCounterCount = 43;
+inline constexpr std::size_t kCounterCount = 42;
 
 /// Stable snake-case name used as the JSON key (e.g. "pool.iterations").
 const char* counter_name(Counter counter);

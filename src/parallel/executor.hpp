@@ -11,8 +11,7 @@
 //  * ThreadPoolExecutor — our own persistent pool (src/parallel/thread_pool).
 //  * WorkStealingExecutor — the work-stealing pool (src/parallel/
 //    work_stealing): per-worker atomic range shards with slice stealing
-//    instead of a shared claim counter, plus the task-graph substrate the
-//    barrier-free DP sweep (DpSyncMode::kCounters) runs on.
+//    instead of a shared claim counter.
 //  * OpenMPExecutor     — optional backend using `#pragma omp`, kept for
 //    comparison with the paper's OpenMP implementation (compiled only when
 //    the toolchain provides OpenMP).
@@ -109,9 +108,6 @@ class ThreadPoolExecutor final : public Executor {
     pool_.run_team(body, cancel);
   }
 
-  /// Direct access to the underlying pool (e.g. for SPMD algorithms).
-  [[nodiscard]] ThreadPool& pool() { return pool_; }
-
  private:
   ThreadPool pool_;
 };
@@ -136,9 +132,6 @@ class WorkStealingExecutor final : public Executor {
                 const CancellationToken& cancel) override {
     pool_.run_team(body, cancel);
   }
-
-  /// Direct access to the underlying pool (task-graph episodes, SPMD).
-  [[nodiscard]] WorkStealingPool& pool() { return pool_; }
 
  private:
   WorkStealingPool pool_;

@@ -11,10 +11,8 @@
 // parallelism is therefore hard-capped at lane_width, and total solver
 // parallelism at lanes * lane_width, no matter how large a request is.
 //
-// Lanes default to the work-stealing backend, which also unlocks the
-// barrier-free DP sweep (DpSyncMode::kCounters) for solves running on a
-// lane; the `backend` parameter keeps the legacy "threadpool" lanes
-// constructible for comparison.
+// Lanes default to the work-stealing backend; the `backend` parameter keeps
+// the legacy "threadpool" lanes constructible for comparison.
 #pragma once
 
 #include <condition_variable>

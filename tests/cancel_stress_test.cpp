@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "algo/ptas/ptas.hpp"
@@ -54,14 +55,16 @@ TEST(CancelStress, ConcurrentCancelDuringParallelDpEngines) {
   const Instance instance =
       generate_instance(InstanceFamily::kUniform1To100, 8, 60, 5, 0);
   ThreadPoolExecutor executor(4);
-  for (DpEngine engine : {DpEngine::kParallelScan, DpEngine::kParallelBucketed,
-                          DpEngine::kSpmd}) {
+  WorkStealingExecutor work_stealing(2);
+  for (const auto& [engine, engine_executor] :
+       {std::pair<DpEngine, Executor*>{DpEngine::kParallelScan, &executor},
+        {DpEngine::kParallelBucketed, &executor},
+        {DpEngine::kParallelBucketed, &work_stealing}}) {
     for (int round = 0; round < 4; ++round) {
       CancellationToken token = CancellationToken::make();
       PtasOptions options;
       options.engine = engine;
-      options.executor = &executor;
-      options.spmd_threads = 4;
+      options.executor = engine_executor;
       options.epsilon = 0.12;  // big enough DP that cancels land mid-flight
       std::thread canceller([token, round] {
         std::this_thread::sleep_for(std::chrono::microseconds(50 * round));
@@ -77,12 +80,15 @@ TEST(CancelStress, ConcurrentCancelDuringParallelDpEngines) {
       canceller.join();
     }
   }
-  // The pool survived every cancelled region: a clean solve still works.
-  PtasOptions options;
-  options.engine = DpEngine::kParallelScan;
-  options.executor = &executor;
-  const SolverResult result = PtasSolver(options).solve(instance);
-  result.schedule.validate(instance);
+  // The pools survived every cancelled region: a clean solve still works.
+  for (Executor* pool : {static_cast<Executor*>(&executor),
+                         static_cast<Executor*>(&work_stealing)}) {
+    PtasOptions options;
+    options.engine = DpEngine::kParallelScan;
+    options.executor = pool;
+    const SolverResult result = PtasSolver(options).solve(instance);
+    result.schedule.validate(instance);
+  }
 }
 
 TEST(CancelStress, DeadlineExpiryRacesTheSolve) {
@@ -108,10 +114,11 @@ TEST(CancelStress, DeadlineExpiryRacesTheSolve) {
 TEST(CancelStress, ResilientSolverUnderConcurrentCancelAlwaysReturns) {
   const Instance instance =
       generate_instance(InstanceFamily::kUniform1To100, 8, 60, 5, 0);
+  WorkStealingExecutor executor(2);
   for (int round = 0; round < 4; ++round) {
     ResilientOptions options;
-    options.ptas.engine = DpEngine::kSpmd;
-    options.ptas.spmd_threads = 4;
+    options.ptas.engine = DpEngine::kParallelBucketed;
+    options.ptas.executor = &executor;
     options.ptas.epsilon = 0.12;
     const CancellationToken token = CancellationToken::make();
     std::thread canceller([token, round] {

@@ -141,9 +141,9 @@ Instance fault_instance() {
 }
 
 // At eps = 0.2 every probe of this shape but the first two is above
-// kTeamFillMinWork, so the team engines (bucketed, spmd) sweep its levels
-// and hit "dp.level". fault_instance()'s fills are all below the cut: those
-// engines fill it inline with dp_bottom_up, which has no level site.
+// kTeamFillMinWork, so the team engine (bucketed) sweeps its levels and
+// hits "dp.level". fault_instance()'s fills are all below the cut: that
+// engine fills it inline with dp_bottom_up, which has no level site.
 Instance above_cutoff_instance() {
   return generate_instance(InstanceFamily::kUniform1To100, 10, 50, 3, 0);
 }
@@ -153,8 +153,7 @@ TEST(FaultInjection, CancelAtNthDpLevelAbortsTheSolve) {
   {
     const Instance instance = fault_instance();
     ThreadPoolExecutor executor(2);
-    for (DpEngine engine : {DpEngine::kParallelScan, DpEngine::kParallelBucketed,
-                            DpEngine::kSpmd}) {
+    for (DpEngine engine : {DpEngine::kParallelScan, DpEngine::kParallelBucketed}) {
       CancellationToken token = CancellationToken::make();
       FaultInjector injector("dp.level", /*fire_at=*/2,
                              FaultInjector::Action::kCancel, token);
@@ -162,7 +161,6 @@ TEST(FaultInjection, CancelAtNthDpLevelAbortsTheSolve) {
       PtasOptions options;
       options.engine = engine;
       options.executor = &executor;
-      options.spmd_threads = 2;
       if (engine == DpEngine::kParallelScan) {
         EXPECT_THROW((void)PtasSolver(options).solve(
                          instance, SolveContext::with_token(token)),
@@ -180,8 +178,7 @@ TEST(FaultInjection, CancelAtNthDpLevelAbortsTheSolve) {
   const Instance instance = above_cutoff_instance();
   for (const char* backend : {"threadpool", "workstealing"}) {
     const std::unique_ptr<Executor> executor = make_executor(backend, 2);
-    for (DpEngine engine : {DpEngine::kParallelScan, DpEngine::kParallelBucketed,
-                            DpEngine::kSpmd}) {
+    for (DpEngine engine : {DpEngine::kParallelScan, DpEngine::kParallelBucketed}) {
       CancellationToken token = CancellationToken::make();
       FaultInjector injector("dp.level", /*fire_at=*/2,
                              FaultInjector::Action::kCancel, token);
@@ -190,7 +187,6 @@ TEST(FaultInjection, CancelAtNthDpLevelAbortsTheSolve) {
       options.epsilon = kAboveCutoffEpsilon;
       options.engine = engine;
       options.executor = executor.get();
-      options.spmd_threads = 2;
       EXPECT_THROW((void)PtasSolver(options).solve(
                        instance, SolveContext::with_token(token)),
                    CancelledError)

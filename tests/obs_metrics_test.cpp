@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "algo/ptas/config_enum.hpp"
@@ -259,13 +262,15 @@ TEST(MetricsDp, PerWorkerEntryTotalsSumToStateSpaceSize) {
   for (const unsigned threads : {1u, 4u}) {
     const auto metrics = collect(threads, [&] {
       ThreadPoolExecutor executor(threads);
-      for (const ParallelDpVariant variant :
-           {ParallelDpVariant::kScanPerLevel, ParallelDpVariant::kBucketed,
-            ParallelDpVariant::kSpmd}) {
+      WorkStealingExecutor work_stealing(threads);
+      for (const auto& [variant, variant_executor] :
+           {std::pair<ParallelDpVariant, Executor*>{
+                ParallelDpVariant::kScanPerLevel, &executor},
+            {ParallelDpVariant::kBucketed, &executor},
+            {ParallelDpVariant::kBucketed, &work_stealing}}) {
         ParallelDpOptions options;
-        options.executor = &executor;
+        options.executor = variant_executor;
         options.variant = variant;
-        options.spmd_threads = threads;
         const DpRun run = dp_parallel(f.rounded, f.space, f.configs, options);
         EXPECT_EQ(run.stats.entries_computed, sigma);
       }
@@ -313,6 +318,24 @@ TEST(MetricsDp, PoolCountersObserveLoopShape) {
   EXPECT_GE(metrics->counter_total(obs::Counter::kPoolDynamicClaims),
             kIterations / 16);
   EXPECT_EQ(metrics->timer(obs::Timer::kPoolRegion).calls, 1u);
+}
+
+TEST(MetricsDp, WorkStealingWorkersCountParksBetweenEpisodes) {
+  if constexpr (!obs::kMetricsEnabled) GTEST_SKIP() << "PCMAX_METRICS is OFF";
+  // pool.parks counts each time a pool worker blocks waiting for the next
+  // episode; after a range and a team episode worker 1 has blocked at least
+  // once.
+  obs::Metrics metrics(2);
+  const obs::MetricsScope scope(metrics);
+  WorkStealingPool pool(2);
+  pool.parallel_for_1d(8, [](std::size_t, std::size_t, unsigned) {});
+  pool.run_team([](unsigned) {});
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (metrics.counter_total(obs::Counter::kPoolParks) < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(metrics.counter_total(obs::Counter::kPoolParks), 1u);
 }
 
 // ---------------------------------------------------------------------------

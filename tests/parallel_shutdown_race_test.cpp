@@ -110,6 +110,7 @@ TEST(ShutdownRace, WorkStealingPoolDestroyedRightAfterEpisode) {
   for (int round = 0; round < kRounds; ++round) {
     const unsigned threads = 2 + static_cast<unsigned>(round % 3);
     std::atomic<std::size_t> covered{0};
+    std::size_t expected = 64;
     {
       WorkStealingPool pool(threads);
       if (round % 2 == 0) {
@@ -118,16 +119,17 @@ TEST(ShutdownRace, WorkStealingPoolDestroyedRightAfterEpisode) {
           covered.fetch_add(end - begin, std::memory_order_relaxed);
         });
       } else {
-        const std::uint32_t roots[] = {0};
-        pool.run_tasks(roots, 64,
-                       [&](std::uint32_t task,
-                           WorkStealingPool::TaskContext& ctx) {
-                         covered.fetch_add(1, std::memory_order_relaxed);
-                         if (task + 1 < 64) ctx.spawn(task + 1);
-                       });
+        // A team whose members meet at a barrier, so every worker is still
+        // inside the episode's tail when the destructor starts draining.
+        Barrier barrier(threads);
+        pool.run_team([&](unsigned) {
+          covered.fetch_add(1, std::memory_order_relaxed);
+          barrier.arrive_and_wait();
+        });
+        expected = threads;
       }
-    }  // destructor races the episode wind-down (incl. parked workers)
-    ASSERT_EQ(covered.load(), 64u);
+    }  // destructor races the episode wind-down (incl. parking workers)
+    ASSERT_EQ(covered.load(), expected);
   }
 }
 

@@ -40,8 +40,8 @@ const RacerReport& report_of(const PortfolioResult& result,
 TEST(SolverRegistry, GlobalKnowsEveryBuiltin) {
   const SolverRegistry& registry = SolverRegistry::global();
   for (const char* name : {"lpt", "ls", "ldm", "multifit", "ptas",
-                           "parallel-ptas", "spmd-ptas", "subset-dp", "ip",
-                           "milp", "resilient"}) {
+                           "parallel-ptas", "subset-dp", "ip", "milp",
+                           "resilient"}) {
     EXPECT_TRUE(registry.contains(name)) << name;
   }
   SolverBuild build;
@@ -233,8 +233,10 @@ TEST(Portfolio, ConcurrentRaceStaysWithinTheFinishersBound) {
   // makespan, and the result must still be a valid schedule with makespan
   // <= every finisher's (the board only ever improves).
   const Instance instance = paper_instance(8, 40, 11);
+  const std::unique_ptr<Executor> executor = make_executor("workstealing", 2);
   PortfolioOptions options;
-  options.racers = {"lpt", "multifit", "ptas", "spmd-ptas"};
+  options.build.executor = executor.get();
+  options.racers = {"lpt", "multifit", "ptas", "parallel-ptas"};
   options.max_concurrent = 0;  // all heavies at once
   const PortfolioResult result =
       PortfolioSolver(options).race(instance, SolveContext::unlimited());
@@ -262,8 +264,11 @@ TEST(Portfolio, CancellationStormLeavesEveryRaceAnswered) {
   threads.reserve(kRaces + 1);
   for (int i = 0; i < kRaces; ++i) {
     threads.emplace_back([&, i] {
+      const std::unique_ptr<Executor> executor =
+          make_executor(i % 2 == 0 ? "workstealing" : "threadpool", 2);
       PortfolioOptions options;
-      options.racers = {"lpt", "multifit", "ptas", "spmd-ptas"};
+      options.build.executor = executor.get();
+      options.racers = {"lpt", "multifit", "ptas", "parallel-ptas"};
       options.max_concurrent = 2;
       const PortfolioResult result = PortfolioSolver(options).race(
           instance, SolveContext::with_token(tokens[static_cast<std::size_t>(i)]));

@@ -1,8 +1,10 @@
 // Equivalence and correctness tests for every DP realisation: bottom-up,
-// top-down, and the three parallel variants across thread counts and loop
-// schedules. These pin the paper's central claim — Algorithm 3 computes
+// top-down, and the two parallel variants across thread counts, loop
+// schedules and pool-backed executors. These pin the paper's central claim — Algorithm 3 computes
 // exactly the table of Algorithm 2.
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "algo/ptas/config_enum.hpp"
 #include "algo/ptas/dp_parallel.hpp"
@@ -121,23 +123,25 @@ TEST_P(ParallelDpEquivalence, ProducesTheExactBottomUpTable) {
   for (const DpFixture& f : fixtures) {
     const DpRun expected = dp_bottom_up(f.rounded, f.space, f.configs);
 
-    ParallelDpOptions options;
-    options.variant = variant;
-    options.schedule = schedule;
-    options.spmd_threads = threads;
-    ThreadPoolExecutor executor(threads);
-    options.executor = &executor;
+    for (const char* backend : {"threadpool", "workstealing"}) {
+      ParallelDpOptions options;
+      options.variant = variant;
+      options.schedule = schedule;
+      const std::unique_ptr<Executor> executor = make_executor(backend, threads);
+      options.executor = executor.get();
 
-    const DpRun run = dp_parallel(f.rounded, f.space, f.configs, options);
-    EXPECT_EQ(run.machines_needed, expected.machines_needed);
-    EXPECT_EQ(run.stats.entries_computed, expected.stats.entries_computed);
-    for (std::size_t i = 0; i < f.space.size(); ++i) {
-      ASSERT_EQ(run.table.value(i), expected.table.value(i))
-          << parallel_dp_variant_name(variant) << " threads=" << threads
-          << " entry " << i;
-      // The argmin tie-break (lowest config id) makes choices deterministic
-      // and identical across all realisations.
-      ASSERT_EQ(run.table.choice(i), expected.table.choice(i));
+      const DpRun run = dp_parallel(f.rounded, f.space, f.configs, options);
+      EXPECT_EQ(run.machines_needed, expected.machines_needed) << backend;
+      EXPECT_EQ(run.stats.entries_computed, expected.stats.entries_computed)
+          << backend;
+      for (std::size_t i = 0; i < f.space.size(); ++i) {
+        ASSERT_EQ(run.table.value(i), expected.table.value(i))
+            << parallel_dp_variant_name(variant) << " " << backend
+            << " threads=" << threads << " entry " << i;
+        // The argmin tie-break (lowest config id) makes choices deterministic
+        // and identical across all realisations.
+        ASSERT_EQ(run.table.choice(i), expected.table.choice(i));
+      }
     }
   }
 }
@@ -160,8 +164,7 @@ std::string equivalence_name(
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, ParallelDpEquivalence,
     ::testing::Combine(::testing::Values(ParallelDpVariant::kScanPerLevel,
-                                         ParallelDpVariant::kBucketed,
-                                         ParallelDpVariant::kSpmd),
+                                         ParallelDpVariant::kBucketed),
                        ::testing::Values(1u, 2u, 4u),
                        ::testing::Values(LoopSchedule::kStatic,
                                          LoopSchedule::kRoundRobin,
@@ -266,20 +269,20 @@ TEST(DpKernels, ParallelVariantsSupportPerEntryEnumeration) {
   const DpRun expected =
       dp_bottom_up(f.rounded, f.space, f.configs, DpKernel::kPerEntryEnum);
   for (const ParallelDpVariant variant :
-       {ParallelDpVariant::kScanPerLevel, ParallelDpVariant::kBucketed,
-        ParallelDpVariant::kSpmd}) {
-    ThreadPoolExecutor executor(2);
-    ParallelDpOptions options;
-    options.variant = variant;
-    options.executor = &executor;
-    options.spmd_threads = 2;
-    options.kernel = DpKernel::kPerEntryEnum;
-    const DpRun run = dp_parallel(f.rounded, f.space, f.configs, options);
-    EXPECT_EQ(run.machines_needed, expected.machines_needed);
-    for (std::size_t i = 0; i < f.space.size(); ++i) {
-      ASSERT_EQ(run.table.value(i), expected.table.value(i))
-          << parallel_dp_variant_name(variant) << " " << i;
-      ASSERT_EQ(run.table.choice(i), expected.table.choice(i));
+       {ParallelDpVariant::kScanPerLevel, ParallelDpVariant::kBucketed}) {
+    for (const char* backend : {"threadpool", "workstealing"}) {
+      const std::unique_ptr<Executor> executor = make_executor(backend, 2);
+      ParallelDpOptions options;
+      options.variant = variant;
+      options.executor = executor.get();
+      options.kernel = DpKernel::kPerEntryEnum;
+      const DpRun run = dp_parallel(f.rounded, f.space, f.configs, options);
+      EXPECT_EQ(run.machines_needed, expected.machines_needed) << backend;
+      for (std::size_t i = 0; i < f.space.size(); ++i) {
+        ASSERT_EQ(run.table.value(i), expected.table.value(i))
+            << parallel_dp_variant_name(variant) << " " << backend << " " << i;
+        ASSERT_EQ(run.table.choice(i), expected.table.choice(i));
+      }
     }
   }
 }

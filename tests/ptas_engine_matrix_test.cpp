@@ -1,10 +1,14 @@
 // Full-matrix equivalence sweep: every DP engine x kernel x epsilon x
-// speculation width must produce schedules with identical makespans on the
-// same instance — the strongest statement of the paper's "same guarantees"
-// claim this library can test mechanically.
+// speculation width (and, for the parallel engines, both pool-backed
+// executors) must produce schedules with identical makespans on the same
+// instance — the strongest statement of the paper's "same guarantees" claim
+// this library can test mechanically.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "algo/ptas/ptas.hpp"
 #include "core/instance_gen.hpp"
@@ -19,37 +23,46 @@ class PtasEngineMatrix : public ::testing::TestWithParam<MatrixParam> {};
 TEST_P(PtasEngineMatrix, MatchesTheReferenceMakespan) {
   const auto [engine, kernel, epsilon, speculation] = GetParam();
 
-  ThreadPoolExecutor executor(2);
-  for (const InstanceFamily family :
-       {InstanceFamily::kUniform1To100, InstanceFamily::kUniformMTo2M1}) {
-    const Instance instance = generate_instance(family, 4, 18, 2027, 0);
+  const bool parallel = engine == DpEngine::kParallelScan ||
+                        engine == DpEngine::kParallelBucketed;
+  const std::vector<std::string> backends =
+      parallel ? std::vector<std::string>{"threadpool", "workstealing"}
+               : std::vector<std::string>{"sequential"};
+  for (const std::string& backend : backends) {
+    const std::unique_ptr<Executor> executor =
+        make_executor(backend, parallel ? 2 : 1);
+    for (const InstanceFamily family :
+         {InstanceFamily::kUniform1To100, InstanceFamily::kUniformMTo2M1}) {
+      const Instance instance = generate_instance(family, 4, 18, 2027, 0);
+      const std::string what = family_name(family) + " " + backend;
 
-    // Reference: plain sequential bisection, global kernel.
-    PtasOptions reference_options;
-    reference_options.epsilon = epsilon;
-    const Time reference =
-        PtasSolver(reference_options).solve(instance).makespan;
+      // Reference: plain sequential bisection, global kernel.
+      PtasOptions reference_options;
+      reference_options.epsilon = epsilon;
+      const Time reference =
+          PtasSolver(reference_options).solve(instance).makespan;
 
-    PtasOptions options;
-    options.epsilon = epsilon;
-    options.engine = engine;
-    options.kernel = kernel;
-    options.executor = &executor;
-    options.spmd_threads = 2;
-    options.speculation = speculation;
-    const SolverResult result = PtasSolver(options).solve(instance);
-    result.schedule.validate(instance);
+      PtasOptions options;
+      options.epsilon = epsilon;
+      options.engine = engine;
+      options.kernel = kernel;
+      options.executor = executor.get();
+      options.speculation = speculation;
+      const SolverResult result = PtasSolver(options).solve(instance);
+      result.schedule.validate(instance);
 
-    if (speculation == 1) {
-      // Identical search path -> identical makespan.
-      EXPECT_EQ(result.makespan, reference) << family_name(family);
-    } else {
-      // Multisection may legitimately settle on a different (equally valid)
-      // T*; the guarantee still binds both to (1+eps) * T* <= (1+eps) * OPT,
-      // and on these instances rounded feasibility is monotone so the
-      // makespans agree anyway — assert the weaker, always-true property
-      // plus equality, which holds empirically for this fixed seed.
-      EXPECT_EQ(result.makespan, reference) << family_name(family);
+      if (speculation == 1) {
+        // Identical search path -> identical makespan.
+        EXPECT_EQ(result.makespan, reference) << what;
+      } else {
+        // Multisection may legitimately settle on a different (equally
+        // valid) T*; the guarantee still binds both to (1+eps) * T* <=
+        // (1+eps) * OPT, and on these instances rounded feasibility is
+        // monotone so the makespans agree anyway — assert the weaker,
+        // always-true property plus equality, which holds empirically for
+        // this fixed seed.
+        EXPECT_EQ(result.makespan, reference) << what;
+      }
     }
   }
 }
@@ -70,7 +83,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllEngines, PtasEngineMatrix,
     ::testing::Combine(
         ::testing::Values(DpEngine::kBottomUp, DpEngine::kParallelScan,
-                          DpEngine::kParallelBucketed, DpEngine::kSpmd),
+                          DpEngine::kParallelBucketed),
         ::testing::Values(DpKernel::kGlobalConfigs, DpKernel::kPerEntryEnum),
         ::testing::Values(0.5, 0.3),
         ::testing::Values(1u, 3u)),

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "algo/lpt.hpp"
 #include "core/instance_gen.hpp"
 #include "exact/brute_force.hpp"
@@ -28,9 +30,10 @@ TEST(AccuracyK, RejectsNonPositiveOrTinyEpsilon) {
 
 TEST(PtasSolver, NameDependsOnEngine) {
   EXPECT_EQ(PtasSolver(PtasOptions{}).name(), "PTAS");
+  WorkStealingExecutor executor(2);
   PtasOptions options;
-  options.engine = DpEngine::kSpmd;
-  options.spmd_threads = 2;
+  options.engine = DpEngine::kParallelBucketed;
+  options.executor = &executor;
   EXPECT_EQ(PtasSolver(options).name(), "ParallelPTAS");
 }
 
@@ -52,18 +55,21 @@ TEST(PtasSolver, SolvesTheQuickstartInstanceWithinTheGuarantee) {
 
 TEST(PtasSolver, AllEnginesProduceTheSameMakespan) {
   ThreadPoolExecutor executor(3);
+  WorkStealingExecutor work_stealing(3);
   for (std::uint64_t index = 0; index < 4; ++index) {
     const Instance instance =
         generate_instance(InstanceFamily::kUniform1To100, 4, 14, 21, index);
 
     Time reference = -1;
-    for (const DpEngine engine :
-         {DpEngine::kBottomUp, DpEngine::kTopDown, DpEngine::kParallelScan,
-          DpEngine::kParallelBucketed, DpEngine::kSpmd}) {
+    for (const auto& [engine, engine_executor] :
+         {std::pair<DpEngine, Executor*>{DpEngine::kBottomUp, &executor},
+          {DpEngine::kTopDown, &executor},
+          {DpEngine::kParallelScan, &executor},
+          {DpEngine::kParallelBucketed, &executor},
+          {DpEngine::kParallelBucketed, &work_stealing}}) {
       PtasOptions options;
       options.engine = engine;
-      options.executor = &executor;
-      options.spmd_threads = 3;
+      options.executor = engine_executor;
       PtasSolver solver(options);
       const SolverResult result = solver.solve(instance);
       result.schedule.validate(instance);
@@ -71,7 +77,8 @@ TEST(PtasSolver, AllEnginesProduceTheSameMakespan) {
         reference = result.makespan;
       } else {
         EXPECT_EQ(result.makespan, reference)
-            << dp_engine_name(engine) << " on instance " << index;
+            << dp_engine_name(engine) << " on " << engine_executor->name()
+            << ", instance " << index;
       }
     }
   }

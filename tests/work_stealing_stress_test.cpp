@@ -1,10 +1,11 @@
 // Contention stress for the work-stealing pool, written for the sanitizer
-// builds (`ctest -L sanitize` under PCMAX_SANITIZE=thread): steal-heavy task
-// graphs, repeated short episodes, concurrent external callers hitting one
-// pool, cancellation racing mid-graph, and construct/destroy churn. The
-// assertions are deliberately coarse (exact-once coverage, conserved sums) —
-// the point is to give TSan/ASan interleavings to chew on, not to re-test
-// the functional contract (parallel_work_stealing_test does that).
+// builds (`ctest -L sanitize` under PCMAX_SANITIZE=thread): steal-heavy
+// skewed ranges, repeated short range and team episodes, concurrent external
+// callers hitting one pool, cancellation racing mid-range, and
+// construct/destroy churn. The assertions are deliberately coarse
+// (exact-once coverage, conserved sums) — the point is to give TSan/ASan
+// interleavings to chew on, not to re-test the functional contract
+// (parallel_work_stealing_test does that).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "parallel/barrier.hpp"
 #include "parallel/work_stealing.hpp"
 #include "util/deadline.hpp"
 #include "util/error.hpp"
@@ -34,6 +36,15 @@ TEST(WorkStealingStress, RepeatedShortEpisodesOnOnePool) {
         },
         /*chunk=*/1);
     ASSERT_EQ(sum.load(), static_cast<std::uint64_t>(n) * (n - 1) / 2);
+    // A team episode between range episodes: every member once, with a
+    // barrier only a full team can pass.
+    Barrier barrier(pool.team_size());
+    std::atomic<unsigned> members{0};
+    pool.run_team([&](unsigned) {
+      members.fetch_add(1, std::memory_order_relaxed);
+      barrier.arrive_and_wait();
+    });
+    ASSERT_EQ(members.load(), pool.team_size());
   }
 }
 
@@ -57,61 +68,6 @@ TEST(WorkStealingStress, SkewedRangesForceSliceStealing) {
         },
         /*chunk=*/1);
     for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1);
-  }
-}
-
-TEST(WorkStealingStress, WideTaskGraphsRetireEveryTaskOnce) {
-  // Binary-tree spawn graphs: every non-leaf spawns two children, which
-  // keeps deques non-empty and thieves busy. Repeat on one pool so deque
-  // reset/reuse between episodes is exercised too.
-  WorkStealingPool pool(8);
-  for (int episode = 0; episode < 20; ++episode) {
-    const std::uint32_t bound = 1u << 10;
-    std::vector<std::atomic<int>> ran(bound);
-    const std::uint32_t roots[] = {0};
-    pool.run_tasks(roots, bound,
-                   [&](std::uint32_t task, WorkStealingPool::TaskContext& ctx) {
-                     ran[task].fetch_add(1, std::memory_order_relaxed);
-                     const std::uint32_t left = 2 * task + 1;
-                     const std::uint32_t right = 2 * task + 2;
-                     if (left < bound) ctx.spawn(left);
-                     if (right < bound) ctx.spawn(right);
-                   });
-    for (std::uint32_t t = 0; t < bound; ++t) ASSERT_EQ(ran[t].load(), 1) << t;
-  }
-}
-
-TEST(WorkStealingStress, DependencyCountersUnderContention) {
-  // A dense layered DAG driven by atomic dependency counters — the DP
-  // sweep's protocol with every layer fully connected to the next, so each
-  // counter is decremented by many concurrent predecessors.
-  constexpr std::uint32_t kLayers = 16;
-  constexpr std::uint32_t kWidth = 16;
-  constexpr std::uint32_t kTasks = kLayers * kWidth;
-  WorkStealingPool pool(8);
-  for (int episode = 0; episode < 10; ++episode) {
-    std::vector<std::atomic<std::uint32_t>> deps(kTasks);
-    for (std::uint32_t t = 0; t < kTasks; ++t) {
-      deps[t].store(t < kWidth ? 0 : kWidth, std::memory_order_relaxed);
-    }
-    std::vector<std::atomic<int>> ran(kTasks);
-    std::vector<std::uint32_t> roots(kWidth);
-    for (std::uint32_t t = 0; t < kWidth; ++t) roots[t] = t;
-    pool.run_tasks(roots, kTasks,
-                   [&](std::uint32_t task, WorkStealingPool::TaskContext& ctx) {
-                     ran[task].fetch_add(1, std::memory_order_relaxed);
-                     const std::uint32_t layer = task / kWidth;
-                     if (layer + 1 == kLayers) return;
-                     for (std::uint32_t j = 0; j < kWidth; ++j) {
-                       const std::uint32_t succ = (layer + 1) * kWidth + j;
-                       if (deps[succ].fetch_sub(1, std::memory_order_acq_rel) ==
-                           1) {
-                         ctx.spawn(succ);
-                       }
-                     }
-                   });
-    for (std::uint32_t t = 0; t < kTasks; ++t) ASSERT_EQ(ran[t].load(), 1);
-    for (std::uint32_t t = kWidth; t < kTasks; ++t) ASSERT_EQ(deps[t].load(), 0u);
   }
 }
 
@@ -142,28 +98,24 @@ TEST(WorkStealingStress, ConcurrentExternalCallersSerialise) {
   EXPECT_GT(grand_total.load(), 0u);
 }
 
-TEST(WorkStealingStress, CancellationRacesMidGraph) {
-  // A different worker requests cancellation while the graph is spawning:
-  // every episode must end in CancelledError with the pool intact.
+TEST(WorkStealingStress, CancellationRacesMidRange) {
+  // One worker requests cancellation while its peers are claiming and
+  // stealing slices: every episode ends in CancelledError (or completes, if
+  // the cancel lands after the last claim) with the pool intact.
   WorkStealingPool pool(4);
   for (int episode = 0; episode < 50; ++episode) {
     const CancellationToken token = CancellationToken::make();
     std::atomic<int> ran{0};
-    const std::uint32_t roots[] = {0};
     try {
-      pool.run_tasks(
-          roots, 1u << 16,
-          [&](std::uint32_t task, WorkStealingPool::TaskContext& ctx) {
-            const int seen = ran.fetch_add(1, std::memory_order_relaxed);
-            if (seen == 20 + episode % 13) token.request_cancel();
-            const std::uint32_t left = 2 * task + 1;
-            const std::uint32_t right = 2 * task + 2;
-            if (left < (1u << 16)) ctx.spawn(left);
-            if (right < (1u << 16)) ctx.spawn(right);
+      pool.parallel_for_1d(
+          4096,
+          [&](std::size_t begin, std::size_t end, unsigned) {
+            for (std::size_t i = begin; i < end; ++i) {
+              const int seen = ran.fetch_add(1, std::memory_order_relaxed);
+              if (seen == 20 + episode % 13) token.request_cancel();
+            }
           },
-          token);
-      // Small graphs can retire entirely before the cancel lands; that is a
-      // legal outcome of the race.
+          /*chunk=*/1, token);
     } catch (const CancelledError&) {
     }
     ASSERT_GT(ran.load(), 0);
@@ -195,20 +147,27 @@ TEST(WorkStealingStress, ErrorsRaceCleanShutdownOfEpisodes) {
 }
 
 TEST(WorkStealingStress, ConstructRunDestroyChurn) {
-  // Pool lifetime churn: build, run one episode, destroy — repeatedly and
-  // across thread counts. Races between the last episode's wind-down and the
-  // destructor's drain-before-join show up here under TSan.
+  // Pool lifetime churn: build, run one episode, destroy — repeatedly,
+  // across thread counts, alternating range and team episodes. Races between
+  // the last episode's wind-down and the destructor's drain-before-join show
+  // up here under TSan.
   for (int round = 0; round < 40; ++round) {
     const unsigned threads = 1 + static_cast<unsigned>(round % 4);
     WorkStealingPool pool(threads);
     std::atomic<int> count{0};
-    const std::uint32_t roots[] = {0};
-    pool.run_tasks(roots, 64,
-                   [&](std::uint32_t task, WorkStealingPool::TaskContext& ctx) {
-                     count.fetch_add(1, std::memory_order_relaxed);
-                     if (task + 1 < 64) ctx.spawn(task + 1);
-                   });
-    ASSERT_EQ(count.load(), 64);
+    if (round % 2 == 0) {
+      pool.parallel_for_1d(
+          64,
+          [&](std::size_t begin, std::size_t end, unsigned) {
+            count.fetch_add(static_cast<int>(end - begin),
+                            std::memory_order_relaxed);
+          },
+          /*chunk=*/1);
+      ASSERT_EQ(count.load(), 64);
+    } else {
+      pool.run_team([&](unsigned) { count.fetch_add(1, std::memory_order_relaxed); });
+      ASSERT_EQ(count.load(), static_cast<int>(threads));
+    }
     // Destructor runs immediately after the episode returns.
   }
 }

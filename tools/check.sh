@@ -18,8 +18,7 @@
 # chaos-harness drift (the soak in tests/chaos_soak_test.cpp storms every
 # registered fault site), and non-self-contained public headers
 # (tools/check_headers.sh) fail loudly even when someone trims the main
-# ctest invocation. bench-smoke includes micro_pool (the work-stealing
-# microbench behind BENCH_executor.json) and service_storm — both the
+# ctest invocation. bench-smoke includes service_storm — both the
 # single-shard arm and the sharded arm with its scale section — behind
 # BENCH_storm.json. The TSan tree picks the chaos soak and the async
 # SolveFuture stress up twice: they carry `sanitize` alongside their own
@@ -59,7 +58,7 @@ run_simd() {
   # scan kernel is definitely built, and one with PCMAX_DISABLE_SIMD=ON so
   # every vector kernel is compiled out and `auto` resolves to SWAR. Both
   # run the kernel-sensitive tests — the crosscheck matrix asserts every
-  # kernel x engine x iteration x sync x table-mode combination is
+  # kernel x engine x iteration x table-mode combination is
   # byte-identical, so these trees catch miscompiled kernels and broken
   # degradation chains respectively.
   local simd_tests=(ptas_dp_crosscheck_test ptas_kernel_dispatch_test

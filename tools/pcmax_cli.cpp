@@ -76,16 +76,13 @@ int cmd_generate(int argc, const char* const* argv) {
 /// Shared construction flags -> the registry's SolverBuild. The exact
 /// solvers are anytime: a wall-clock limit caps their budget so they return
 /// the incumbent rather than throwing.
-SolverBuild build_from_cli(double epsilon, unsigned threads, Executor* executor,
+SolverBuild build_from_cli(double epsilon, Executor* executor,
                            double exact_seconds, std::int64_t time_limit_ms,
-                           const std::string& dp_sync = "barrier",
                            const std::string& dp_kernel = "auto",
                            bool dp_huge_pages = false) {
   SolverBuild build;
   build.epsilon = epsilon;
-  build.threads = threads;
   build.executor = executor;
-  build.dp_sync = dp_sync;
   build.dp_kernel = dp_kernel;
   build.dp_huge_pages = dp_huge_pages;
   build.exact_seconds =
@@ -104,7 +101,7 @@ std::string registered_solvers_help() {
 }
 
 bool is_ptas_family(const std::string& name) {
-  return name == "ptas" || name == "parallel-ptas" || name == "spmd-ptas";
+  return name == "ptas" || name == "parallel-ptas";
 }
 
 /// Constructs the requested solver from the global registry. PTAS-family
@@ -150,10 +147,8 @@ int cmd_solve(int argc, const char* const* argv) {
   cli.add_int("threads", 0, "worker threads (0 = hardware concurrency)");
   cli.add_string("pool", "workstealing",
                  "executor backend for the parallel engines: 'workstealing' "
-                 "(Chase-Lev deques) or 'threadpool' (fork-join baseline)");
-  cli.add_string("dp-sync", "barrier",
-                 "parallel-DP level synchronisation: 'barrier' or 'counters' "
-                 "(barrier-free chunk graph; needs --pool=workstealing)");
+                 "(per-worker range shards with slice stealing) or "
+                 "'threadpool' (fork-join baseline)");
   cli.add_string("dp-kernel", "auto",
                  "PTAS DP fits-test kernel: 'auto' (fastest supported), "
                  "'per-entry-enum', 'scalar', 'swar', 'avx2', or 'avx512' "
@@ -194,10 +189,9 @@ int cmd_solve(int argc, const char* const* argv) {
       make_executor(cli.get_string("pool"), threads);
   const std::int64_t time_limit_ms = cli.get_int("time-limit-ms");
   const SolverBuild build =
-      build_from_cli(cli.get_double("epsilon"), threads, executor.get(),
+      build_from_cli(cli.get_double("epsilon"), executor.get(),
                      cli.get_double("exact-seconds"), time_limit_ms,
-                     cli.get_string("dp-sync"), cli.get_string("dp-kernel"),
-                     cli.get_bool("dp-huge-pages"));
+                     cli.get_string("dp-kernel"), cli.get_bool("dp-huge-pages"));
   const std::unique_ptr<Solver> solver =
       make_solver(cli.get_string("solver"), build, on_limit == "fallback");
 
@@ -266,9 +260,6 @@ int cmd_race(int argc, const char* const* argv) {
   cli.add_string("pool", "workstealing",
                  "executor backend shared by the racers: 'workstealing' or "
                  "'threadpool'");
-  cli.add_string("dp-sync", "barrier",
-                 "parallel-DP level synchronisation of the parallel-ptas "
-                 "racer: 'barrier' or 'counters'");
   cli.add_string("dp-kernel", "auto",
                  "PTAS DP fits-test kernel shared by the PTAS-family racers: "
                  "'auto', 'per-entry-enum', 'scalar', 'swar', 'avx2', or "
@@ -306,9 +297,8 @@ int cmd_race(int argc, const char* const* argv) {
   const std::int64_t time_limit_ms = cli.get_int("time-limit-ms");
 
   PortfolioOptions options;
-  options.build = build_from_cli(cli.get_double("epsilon"), threads,
-                                 executor.get(), cli.get_double("exact-seconds"),
-                                 time_limit_ms, cli.get_string("dp-sync"),
+  options.build = build_from_cli(cli.get_double("epsilon"), executor.get(),
+                                 cli.get_double("exact-seconds"), time_limit_ms,
                                  cli.get_string("dp-kernel"),
                                  cli.get_bool("dp-huge-pages"));
   options.max_concurrent = static_cast<unsigned>(cli.get_int("concurrent"));
