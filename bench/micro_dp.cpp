@@ -1,7 +1,6 @@
 // google-benchmark microbenchmarks of the DP kernels: state-space encode/
-// decode, level computation/iteration, configuration enumeration, full DP
-// fills (old and new kernel paths), and the executor chunk-size sweep that
-// justifies the constants in dp_parallel.cpp.
+// decode, level computation/iteration, configuration enumeration, and full
+// sequential and parallel DP fills.
 //
 // Provides its own main (targets.cmake NO_MAIN): on top of the standard
 // --benchmark_* flags it accepts `--json <path>` to dump the per-benchmark
@@ -19,7 +18,6 @@
 #include "algo/ptas/dp_sequential.hpp"
 #include "core/bounds.hpp"
 #include "core/instance_gen.hpp"
-#include "util/deadline.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -37,19 +35,6 @@ RoundedInstance fixture_rounded() {
   rounded.class_count = {2, 2, 3, 2};
   rounded.class_jobs = {{0, 1}, {2, 3}, {4, 5, 6}, {7, 8}};
   rounded.total_long_jobs = 9;
-  return rounded;
-}
-
-/// A larger fixture shaped like the paper's m=20/n=100/eps=0.3 probes:
-/// more classes, deeper counts, sigma in the tens of thousands.
-RoundedInstance paper_scale_rounded() {
-  RoundedInstance rounded;
-  rounded.params = RoundingParams::make(120, 4);
-  rounded.class_index = {2, 3, 4, 5, 6};
-  rounded.class_size = {38, 53, 68, 83, 98};
-  rounded.class_count = {6, 5, 4, 3, 2};
-  rounded.class_jobs.assign(5, {});
-  rounded.total_long_jobs = 20;
   return rounded;
 }
 
@@ -137,67 +122,6 @@ void BM_DpBottomUp(benchmark::State& state) {
 }
 BENCHMARK(BM_DpBottomUp);
 
-void BM_DpTopDown(benchmark::State& state) {
-  const RoundedInstance rounded = fixture_rounded();
-  const StateSpace space(rounded.class_count, kBig);
-  const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dp_top_down(rounded, space, configs));
-  }
-}
-BENCHMARK(BM_DpTopDown);
-
-// --- kernel ablation on the paper-scale fixture -----------------------------
-// "baseline" reproduces the pre-optimisation path (indexed iteration, no
-// level pruning, values+choices everywhere); "new" is the current fast path
-// (walker iteration, level pruning, values-only probe tables). The tracked
-// BENCH_dp_kernel.json compares the same pair through the full PTAS driver.
-
-void dp_probe_args(ParallelDpOptions& options, bool baseline) {
-  options.variant = ParallelDpVariant::kBucketed;
-  if (baseline) {
-    options.iteration = LevelIteration::kIndexed;
-    options.pruning = LevelPruning::kOff;
-    options.table_mode = DpTableMode::kValuesAndChoices;
-  } else {
-    options.iteration = LevelIteration::kWalker;
-    options.pruning = LevelPruning::kOn;
-    options.table_mode = DpTableMode::kValuesOnly;
-  }
-}
-
-void BM_DpProbeBaselineKernel(benchmark::State& state) {
-  const RoundedInstance rounded = paper_scale_rounded();
-  const StateSpace space(rounded.class_count, kBig);
-  const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-  ThreadPoolExecutor executor(static_cast<unsigned>(state.range(0)));
-  ParallelDpOptions options;
-  options.executor = &executor;
-  dp_probe_args(options, /*baseline=*/true);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dp_parallel(rounded, space, configs, options));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(space.size()));
-}
-BENCHMARK(BM_DpProbeBaselineKernel)->Arg(1)->Arg(2);
-
-void BM_DpProbeNewKernel(benchmark::State& state) {
-  const RoundedInstance rounded = paper_scale_rounded();
-  const StateSpace space(rounded.class_count, kBig);
-  const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-  ThreadPoolExecutor executor(static_cast<unsigned>(state.range(0)));
-  ParallelDpOptions options;
-  options.executor = &executor;
-  dp_probe_args(options, /*baseline=*/false);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dp_parallel(rounded, space, configs, options));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(space.size()));
-}
-BENCHMARK(BM_DpProbeNewKernel)->Arg(1)->Arg(2);
-
 void BM_DpParallelBucketed(benchmark::State& state) {
   const RoundedInstance rounded = fixture_rounded();
   const StateSpace space(rounded.class_count, kBig);
@@ -225,43 +149,6 @@ void BM_DpParallelScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DpParallelScan)->Arg(1)->Arg(2)->Arg(4);
-
-void BM_DynamicChunkSweep(benchmark::State& state) {
-  // Audits the kScanChunk constant of dp_parallel.cpp: a dynamic-schedule
-  // DP probe where the claim granularity is the benchmark argument. Run with 2 workers so the shared-counter contention
-  // that the chunk size amortises is actually present.
-  const RoundedInstance rounded = paper_scale_rounded();
-  const StateSpace space(rounded.class_count, kBig);
-  const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-  ThreadPoolExecutor executor(2);
-  ParallelDpOptions options;
-  options.executor = &executor;
-  options.variant = ParallelDpVariant::kBucketed;
-  options.schedule = LoopSchedule::kDynamic;
-  // The chunk constant is compile-time inside dp_parallel; the sweep drives
-  // the executor directly with an equivalent per-entry workload instead.
-  const auto chunk = static_cast<std::size_t>(state.range(0));
-  std::vector<std::int64_t> sink(space.size(), 0);
-  for (auto _ : state) {
-    executor.parallel_for_ranges(
-        space.size(),
-        [&](std::size_t begin, std::size_t end, unsigned /*worker*/) {
-          for (std::size_t i = begin; i < end; ++i) {
-            // ~|C| additions: stands in for one entry's config scan.
-            std::int64_t acc = 0;
-            for (std::size_t c = 0; c < configs.count(); ++c) {
-              acc += static_cast<std::int64_t>(configs.offsets[c]);
-            }
-            sink[i] = acc;
-          }
-        },
-        LoopSchedule::kDynamic, chunk, CancellationToken{});
-    benchmark::DoNotOptimize(sink.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(space.size()));
-}
-BENCHMARK(BM_DynamicChunkSweep)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
 /// Console reporter that additionally collects every run into a JSON array
 /// (pcmax.microbench.v1) for the --json flag.

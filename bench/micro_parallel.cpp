@@ -60,7 +60,7 @@ BENCHMARK(BM_PoolParallelForRoundRobin)->Arg(1)->Arg(2)->Arg(4);
 void BM_BarrierSingleParticipant(benchmark::State& state) {
   // Measures the barrier's critical-section overhead (lock + generation
   // bump). Cross-thread wake-up latency is covered end-to-end by the
-  // bucketed team sweep in ablation_dp_variants, where shutdown is safe.
+  // team sweep of micro_dp's BM_DpParallelBucketed, where shutdown is safe.
   Barrier barrier(1);
   for (auto _ : state) {
     barrier.arrive_and_wait();

@@ -37,7 +37,6 @@ pcmax_add_bench(fig2_speedup_m20_n100)
 pcmax_add_bench(fig3_speedup_m10_n50)
 pcmax_add_bench(fig4_speedup_m10_n30)
 pcmax_add_bench(fig5_approx_ratios)
-pcmax_add_bench(ablation_dp_variants)
 pcmax_add_bench(scaling_analysis)
 pcmax_add_bench(baselines_shootout)
 pcmax_add_bench(robustness_analysis)
@@ -50,15 +49,13 @@ pcmax_add_micro(micro_parallel)
 
 # Smoke-test registrations: tiny Release runs of the reproduction benches so
 # `ctest -L bench-smoke` catches bench bit-rot without paying full bench cost.
-add_test(NAME bench_smoke_ablation
-         COMMAND ablation_dp_variants --m 4 --n 16 --trials 1)
-add_test(NAME bench_smoke_ablation_json
-         COMMAND ablation_dp_variants --m 4 --n 16 --trials 1
-                 --json ${CMAKE_BINARY_DIR}/bench/smoke_ablation.json)
-add_test(NAME bench_smoke_ablation_schema
-         COMMAND bash ${CMAKE_SOURCE_DIR}/tools/check_ablation_schema.sh
-                 $<TARGET_FILE:ablation_dp_variants>
-                 ${CMAKE_SOURCE_DIR}/tests/golden/ablation_schema_prefix.txt)
+# A paper replay: the per-entry enumeration kernel (the default
+# --faithful-kernel) through the whole figure pipeline, plus a threaded
+# parallel-ptas solve of every instance that must match the sequential
+# makespan (--verify-threads). Small exact budgets keep it to seconds.
+add_test(NAME bench_smoke_fig4_replay
+         COMMAND fig4_speedup_m10_n30 --trials 1 --verify-threads
+                 --ip-probe-seconds 0.2 --ip-total-seconds 0.5)
 add_test(NAME bench_smoke_micro_dp
          COMMAND micro_dp --benchmark_filter=BM_DpBottomUp
                  --benchmark_min_time=0.01
@@ -95,8 +92,7 @@ add_test(NAME bench_smoke_storm_variants
 add_test(NAME bench_smoke_portfolio
          COMMAND portfolio_race --limit-sizes 1 --exact-seconds 1
                  --json ${CMAKE_BINARY_DIR}/bench/smoke_portfolio.json)
-set_tests_properties(bench_smoke_ablation bench_smoke_ablation_json
-                     bench_smoke_ablation_schema
+set_tests_properties(bench_smoke_fig4_replay
                      bench_smoke_micro_dp bench_smoke_service
                      bench_smoke_storm bench_smoke_storm_sharded
                      bench_smoke_storm_variants

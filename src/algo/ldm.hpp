@@ -7,7 +7,7 @@
 // this is Karmarkar-Karp differencing; for general m it is Michiels et
 // al.'s balanced multiway extension. Often beats LPT on instances with few
 // large jobs; another practical baseline a production library should ship
-// (not part of the paper's evaluation — covered by the ablation benches).
+// (not part of the paper's evaluation — covered by bench/baselines_shootout).
 #pragma once
 
 #include "core/solver.hpp"

@@ -20,7 +20,7 @@
 
 namespace pcmax {
 
-/// A DP strategy: bottom-up, top-down, or one of the parallel variants,
+/// A DP strategy: bottom-up or one of the parallel variants,
 /// already bound to its executor/thread configuration.
 using DpBackendFn = std::function<DpRun(const RoundedInstance&, const StateSpace&,
                                         const ConfigSet&)>;

@@ -4,7 +4,6 @@
 #include <exception>
 #include <limits>
 #include <mutex>
-#include <optional>
 
 #include "obs/metrics.hpp"
 #include "parallel/barrier.hpp"
@@ -21,36 +20,7 @@ std::string parallel_dp_variant_name(ParallelDpVariant variant) {
   throw InvalidArgumentError("unknown parallel DP variant");
 }
 
-std::string level_iteration_name(LevelIteration iteration) {
-  switch (iteration) {
-    case LevelIteration::kWalker: return "walker";
-    case LevelIteration::kIndexed: return "indexed";
-  }
-  throw InvalidArgumentError("unknown level iteration");
-}
-
 namespace {
-
-// Loop granularities of the parallel sweeps. Audited with the chunk-sweep
-// micro-benchmark (bench/micro_dp.cpp, BM_DynamicChunkSweep; measurements
-// and methodology in docs/performance.md). On the paper-scale synthetic
-// the sweep measured ~10.7 ns/item of claim overhead at chunk 1, ~4.1 at
-// 16, ~3.2 at 64, flooring at ~2.9 by 256 — per-claim cost only amortises,
-// so the chunk choice trades claim overhead against tail imbalance on the
-// narrow anti-diagonals (paper-scale widths average ~120 entries).
-//
-//  * kLevelComputeChunk — compute_levels runs under LoopSchedule::kStatic,
-//    where the executor ignores the chunk argument and splits the range
-//    contiguously per worker (see ThreadPool::parallel_for_ranges). The
-//    constant exists so the call site documents that explicitly instead of
-//    passing a magic 1.
-//  * kScanChunk — in the scan-per-level sweep most indices of a claimed
-//    chunk fail the `levels[i] == level` filter, so a dynamic claim must
-//    cover enough raw indices that the shared-counter fetch_add is
-//    amortised over the few entries actually processed; at 64 the claim
-//    overhead is ~1% of even a SWAR-fast entry's scan.
-constexpr std::size_t kLevelComputeChunk = 1;
-constexpr std::size_t kScanChunk = 64;
 
 /// Amortisation period of the in-range cancellation polls (and the team
 /// sweep's stop-flag polls): one acquire load every 256 entries keeps the poll cost
@@ -86,29 +56,8 @@ std::vector<std::int32_t> compute_levels(const StateSpace& space, Executor& exec
           }
         }
       },
-      LoopSchedule::kStatic, kLevelComputeChunk, cancel);
+      LoopSchedule::kStatic, /*chunk=*/1, cancel);
   return levels;
-}
-
-LevelIndex build_level_index(const StateSpace& space,
-                             const std::vector<std::int32_t>& levels) {
-  PCMAX_CHECK(levels.size() == space.size(), "level array has wrong size");
-  const auto level_count = static_cast<std::size_t>(space.max_level()) + 1;
-  LevelIndex index;
-  index.level_begin.assign(level_count + 1, 0);
-  for (std::int32_t l : levels) {
-    ++index.level_begin[static_cast<std::size_t>(l) + 1];
-  }
-  for (std::size_t l = 1; l <= level_count; ++l) {
-    index.level_begin[l] += index.level_begin[l - 1];
-  }
-  index.order.resize(space.size());
-  std::vector<std::size_t> cursor(index.level_begin.begin(),
-                                  index.level_begin.end() - 1);
-  for (std::size_t i = 0; i < levels.size(); ++i) {
-    index.order[cursor[static_cast<std::size_t>(levels[i])]++] = i;
-  }
-  return index;
 }
 
 namespace {
@@ -145,13 +94,11 @@ std::vector<std::uint64_t> level_widths(const StateSpace& space,
 }
 
 /// Computes one table entry from its flat index, digits, and level (shared
-/// by all variants; the digits come from a walker, an odometer, or a decode
-/// depending on the iteration mode).
+/// by both variants; the digits come from a walker or an odometer).
 inline void process_entry(std::size_t index, std::span<const int> v, int level,
                           const RoundedInstance& rounded, const StateSpace& space,
                           const ConfigSet& configs, DpKernel kernel,
-                          LevelPruning pruning, DpTable& table,
-                          WorkerCounters& counters) {
+                          DpTable& table, WorkerCounters& counters) {
   if (index == 0) {
     table.set(0, 0, DpTable::kNoChoice);  // OPT(0,...,0) = 0
     ++counters.entries;
@@ -162,27 +109,14 @@ inline void process_entry(std::size_t index, std::span<const int> v, int level,
           ? compute_entry_enumerated(index, v, rounded, space,
                                      table.values_data(), counters.scan.scans)
           : compute_entry(index, v, level, configs, table.values_data(),
-                          counters.scan, pruning, kernel);
+                          counters.scan, kernel);
   table.set(index, entry.value, entry.choice);
   ++counters.entries;
 }
 
-/// Decode-based wrapper of process_entry for the kIndexed paths, where the
-/// entry arrives as a bare flat index out of the LevelIndex gather.
-inline void process_index(std::size_t index, int level,
-                          const RoundedInstance& rounded, const StateSpace& space,
-                          const ConfigSet& configs, DpKernel kernel,
-                          LevelPruning pruning, DpTable& table,
-                          std::vector<int>& digits, WorkerCounters& counters) {
-  if (index != 0) space.decode(index, digits);
-  process_entry(index, digits, level, rounded, space, configs, kernel, pruning,
-                table, counters);
-}
-
 void run_scan_per_level(const RoundedInstance& rounded, const StateSpace& space,
                         const ConfigSet& configs, DpKernel kernel,
-                        LevelPruning pruning, Executor& executor,
-                        LoopSchedule schedule, const CancellationToken& cancel,
+                        Executor& executor, const CancellationToken& cancel,
                         DpRun& run) {
   const std::vector<std::int32_t> levels = compute_levels(space, executor, cancel);
   const unsigned workers = executor.concurrency();
@@ -190,8 +124,8 @@ void run_scan_per_level(const RoundedInstance& rounded, const StateSpace& space,
   std::vector<std::vector<int>> scratch(
       workers, std::vector<int>(static_cast<std::size_t>(space.dims())));
 
-  obs::DpRunRecorder recorder("scan-per-level", loop_schedule_name(schedule),
-                              space.size(), space.max_level() + 1);
+  obs::DpRunRecorder recorder("scan-per-level", "round-robin", space.size(),
+                              space.max_level() + 1);
   const std::vector<std::uint64_t> widths =
       recorder.active() ? level_widths(space, levels) : std::vector<std::uint64_t>{};
 
@@ -211,8 +145,8 @@ void run_scan_per_level(const RoundedInstance& rounded, const StateSpace& space,
           // (paper Line 12), then maintain the digit odometer for the rest
           // of the range — amortised O(1) per scanned index instead of one
           // mixed-radix decode per processed entry. (Round-robin delivers
-          // singleton ranges, where this degenerates to exactly the old
-          // decode-per-processed-entry cost, never worse.)
+          // singleton ranges, where this degenerates to one decode per
+          // processed entry, never worse.)
           std::vector<int>& digits = scratch[worker];
           bool tracking = false;
           for (std::size_t i = begin; i < end; ++i) {
@@ -223,7 +157,7 @@ void run_scan_per_level(const RoundedInstance& rounded, const StateSpace& space,
                 tracking = true;
               }
               process_entry(i, digits, level, rounded, space, configs, kernel,
-                            pruning, run.table, counters[worker]);
+                            run.table, counters[worker]);
             }
             if (tracking && i + 1 < end) {
               for (std::size_t d = digits.size(); d-- > 0;) {
@@ -236,7 +170,7 @@ void run_scan_per_level(const RoundedInstance& rounded, const StateSpace& space,
             }
           }
         },
-        schedule, kScanChunk, cancel);
+        LoopSchedule::kRoundRobin, /*chunk=*/1, cancel);
     recorder.level_end(level,
                        widths.empty() ? 0 : widths[static_cast<std::size_t>(level)],
                        level_t0);
@@ -250,27 +184,14 @@ void run_scan_per_level(const RoundedInstance& rounded, const StateSpace& space,
 /// sweep on the caller with a barrier that returns at once.
 void run_level_sweep(const RoundedInstance& rounded, const StateSpace& space,
                      const ConfigSet& configs, DpKernel kernel,
-                     LevelIteration iteration, LevelPruning pruning,
                      Executor& executor, const CancellationToken& cancel,
                      DpRun& run) {
-  // The indexed baseline precomputes the level array and bucket order once,
-  // on the caller; the walker path needs neither.
-  std::vector<std::int32_t> levels;
-  LevelIndex index;
-  if (iteration == LevelIteration::kIndexed) {
-    SequentialExecutor seq;
-    levels = compute_levels(space, seq, cancel);
-    index = build_level_index(space, levels);
-  }
-
   const unsigned members = executor.team_size();
   Barrier barrier(members);
   std::vector<WorkerCounters> counters(members);
-  // Walker workers own a contiguous rank block of each level ("block");
-  // the indexed baseline keeps the paper's round-robin slotting.
-  obs::DpRunRecorder recorder(
-      "bucketed", iteration == LevelIteration::kWalker ? "block" : "round-robin",
-      space.size(), space.max_level() + 1);
+  // Each member owns a contiguous rank block of each level.
+  obs::DpRunRecorder recorder("bucketed", "block", space.size(),
+                              space.max_level() + 1);
 
   // Barrier-safe stop protocol. A worker that observes a stop request must
   // NOT leave its level loop unilaterally — its peers would wait at the
@@ -299,9 +220,7 @@ void run_level_sweep(const RoundedInstance& rounded, const StateSpace& space,
   };
 
   auto worker_fn = [&](unsigned worker) {
-    std::vector<int> digits(static_cast<std::size_t>(space.dims()));
-    std::optional<LevelWalker> walker;
-    if (iteration == LevelIteration::kWalker) walker.emplace(space);
+    LevelWalker walker(space);
     for (int level = 0; level <= space.max_level(); ++level) {
       if (level > stop_after.load(std::memory_order_relaxed)) break;
       if (worker == 0) {
@@ -331,30 +250,17 @@ void run_level_sweep(const RoundedInstance& rounded, const StateSpace& space,
         return false;
       };
       try {
-        if (walker) {
-          // Contiguous block split of the level's rank range across members.
-          width = walker->level_size(level);
-          const std::uint64_t begin = width * worker / members;
-          const std::uint64_t end = width * (worker + 1) / members;
-          if (begin < end) {
-            walker->seek(level, begin);
-            for (std::uint64_t rank = begin; rank < end; ++rank) {
-              if (polled_stop()) break;
-              process_entry(walker->index(), walker->digits(), level, rounded,
-                            space, configs, kernel, pruning, run.table,
-                            counters[worker]);
-              if (rank + 1 < end) walker->next();
-            }
-          }
-        } else {
-          const std::size_t begin = index.level_begin[static_cast<std::size_t>(level)];
-          const std::size_t end = index.level_begin[static_cast<std::size_t>(level) + 1];
-          width = end - begin;
-          // Round-robin slotting of this level's entries across the members.
-          for (std::size_t slot = begin + worker; slot < end; slot += members) {
+        // Contiguous block split of the level's rank range across members.
+        width = walker.level_size(level);
+        const std::uint64_t begin = width * worker / members;
+        const std::uint64_t end = width * (worker + 1) / members;
+        if (begin < end) {
+          walker.seek(level, begin);
+          for (std::uint64_t rank = begin; rank < end; ++rank) {
             if (polled_stop()) break;
-            process_index(index.order[slot], level, rounded, space, configs,
-                          kernel, pruning, run.table, digits, counters[worker]);
+            process_entry(walker.index(), walker.digits(), level, rounded,
+                          space, configs, kernel, run.table, counters[worker]);
+            if (rank + 1 < end) walker.next();
           }
         }
       } catch (...) {
@@ -382,7 +288,7 @@ void run_level_sweep(const RoundedInstance& rounded, const StateSpace& space,
 DpRun dp_parallel(const RoundedInstance& rounded, const StateSpace& space,
                   const ConfigSet& configs, const ParallelDpOptions& options) {
   const DpKernel kernel = resolve_dp_kernel(options.kernel);
-  DpRun run{DpTable(space.size(), options.table_mode, options.table_alloc),
+  DpRun run{DpTable(space.size(), options.table_mode),
             DpTable::kInfeasible, DpStats{}};
   run.stats.table_size = space.size();
   run.stats.config_count = configs.count();
@@ -393,14 +299,13 @@ DpRun dp_parallel(const RoundedInstance& rounded, const StateSpace& space,
     case ParallelDpVariant::kScanPerLevel:
       PCMAX_REQUIRE(options.executor != nullptr,
                     "scan-per-level variant needs an executor");
-      run_scan_per_level(rounded, space, configs, kernel,
-                         options.pruning, *options.executor, options.schedule,
+      run_scan_per_level(rounded, space, configs, kernel, *options.executor,
                          options.cancel, run);
       break;
     case ParallelDpVariant::kBucketed:
       PCMAX_REQUIRE(options.executor != nullptr, "bucketed variant needs an executor");
-      run_level_sweep(rounded, space, configs, kernel, options.iteration,
-                      options.pruning, *options.executor, options.cancel, run);
+      run_level_sweep(rounded, space, configs, kernel, *options.executor,
+                      options.cancel, run);
       break;
   }
 

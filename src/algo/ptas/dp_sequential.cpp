@@ -10,7 +10,7 @@ namespace pcmax {
 DpRun dp_bottom_up(const RoundedInstance& rounded, const StateSpace& space,
                    const ConfigSet& configs, const DpOptions& options) {
   const DpKernel kernel = resolve_dp_kernel(options.kernel);
-  DpRun run{DpTable(space.size(), options.mode, options.table_alloc),
+  DpRun run{DpTable(space.size(), options.mode),
             DpTable::kInfeasible, DpStats{}};
   run.stats.table_size = space.size();
   run.stats.config_count = configs.count();
@@ -56,7 +56,7 @@ DpRun dp_bottom_up(const RoundedInstance& rounded, const StateSpace& space,
             ? compute_entry_enumerated(index, digits, rounded, space, values,
                                        counters.scans)
             : compute_entry(index, digits, level, configs, values, counters,
-                            options.pruning, kernel);
+                            kernel);
     run.table.set(index, entry.value, entry.choice);
     ++run.stats.entries_computed;
   }
@@ -68,141 +68,6 @@ DpRun dp_bottom_up(const RoundedInstance& rounded, const StateSpace& space,
   recorder.finish();
   run.machines_needed = run.table.value(space.size() - 1);
   return run;
-}
-
-DpRun dp_bottom_up(const RoundedInstance& rounded, const StateSpace& space,
-                   const ConfigSet& configs, DpKernel kernel,
-                   const CancellationToken& cancel, DpTableMode mode,
-                   LevelPruning pruning) {
-  DpOptions options;
-  options.kernel = kernel;
-  options.mode = mode;
-  options.pruning = pruning;
-  options.cancel = cancel;
-  return dp_bottom_up(rounded, space, configs, options);
-}
-
-namespace {
-
-/// Iterative depth-first evaluation with an explicit stack; only reachable
-/// states are computed. A state is pushed once, its uncomputed predecessors
-/// are pushed above it, and it is finalised when all predecessors are ready.
-class TopDownEvaluator {
- public:
-  TopDownEvaluator(const StateSpace& space, const ConfigSet& configs,
-                   const CancellationToken& cancel, DpKernel kernel,
-                   DpRun& run, DpScanCounters& counters)
-      : space_(space), configs_(configs), cancel_check_(cancel, /*period=*/1024),
-        armed_(cancel.valid()), kernel_(kernel), run_(run),
-        counters_(counters) {}
-
-  void evaluate(std::size_t root) {
-    if (run_.table.value(root) != DpTable::kUnset) return;
-    stack_.push_back(root);
-    std::vector<int> digits(static_cast<std::size_t>(space_.dims()));
-    while (!stack_.empty()) {
-      if (armed_) cancel_check_.poll();
-      const std::size_t index = stack_.back();
-      if (run_.table.value(index) != DpTable::kUnset) {
-        stack_.pop_back();
-        continue;
-      }
-      if (index == 0) {
-        run_.table.set(0, 0, DpTable::kNoChoice);
-        ++run_.stats.entries_computed;
-        stack_.pop_back();
-        continue;
-      }
-      space_.decode(index, digits);
-      int level = 0;
-      for (const int d : digits) level += d;
-      // First pass: push any unready predecessors; if none, finalise. The
-      // level-prefix bound applies here too — configs beyond the prefix
-      // cannot fit this entry, so they contribute no predecessors.
-      bool ready = true;
-      const auto dims = static_cast<std::size_t>(configs_.dims);
-      const std::size_t prefix = configs_.prefix_count(level);
-      for (std::size_t c = 0; c < prefix; ++c) {
-        const int* s = configs_.digits.data() + c * dims;
-        bool fits = true;
-        for (std::size_t d = 0; d < dims; ++d) {
-          if (s[d] > digits[d]) {
-            fits = false;
-            break;
-          }
-        }
-        if (!fits) continue;
-        const std::size_t predecessor = index - configs_.offsets[c];
-        if (run_.table.value(predecessor) == DpTable::kUnset) {
-          if (ready) ready = false;
-          stack_.push_back(predecessor);
-        }
-      }
-      if (!ready) continue;
-      const EntryResult entry = compute_entry(index, digits, level, configs_,
-                                              run_.table.values_data(),
-                                              counters_, LevelPruning::kOn,
-                                              kernel_);
-      run_.table.set(index, entry.value, entry.choice);
-      ++run_.stats.entries_computed;
-      stack_.pop_back();
-    }
-  }
-
- private:
-  const StateSpace& space_;
-  const ConfigSet& configs_;
-  CancelCheck cancel_check_;
-  const bool armed_;
-  const DpKernel kernel_;
-  DpRun& run_;
-  DpScanCounters& counters_;
-  std::vector<std::size_t> stack_;
-};
-
-}  // namespace
-
-DpRun dp_top_down(const RoundedInstance& rounded, const StateSpace& space,
-                  const ConfigSet& configs, const DpOptions& options) {
-  (void)rounded;
-  // Per-entry enumeration makes no sense here (the readiness scan already
-  // walks the config list), so it maps to the auto-selected scan kernel.
-  const DpKernel kernel =
-      resolve_dp_kernel(options.kernel == DpKernel::kPerEntryEnum
-                            ? DpKernel::kGlobalConfigs
-                            : options.kernel);
-  DpRun run{DpTable(space.size(), options.mode, options.table_alloc),
-            DpTable::kInfeasible, DpStats{}};
-  run.stats.table_size = space.size();
-  run.stats.config_count = configs.count();
-  run.stats.levels = space.max_level() + 1;
-  run.stats.kernel = kernel;
-
-  // Top-down touches only reachable states, so its per-worker entry total is
-  // at most (usually below) the state-space size.
-  obs::DpRunRecorder recorder("top-down", "-", space.size(),
-                              space.max_level() + 1);
-  DpScanCounters counters;
-  TopDownEvaluator evaluator(space, configs, options.cancel, kernel, run,
-                             counters);
-  evaluator.evaluate(space.size() - 1);
-
-  accumulate_scan_counters(run.stats, counters);
-  recorder.add_worker(0, run.stats.entries_computed, run.stats.config_scans,
-                      run.stats.configs_pruned, run.stats.simd_blocks,
-                      run.stats.scalar_fallbacks);
-  recorder.finish();
-  run.machines_needed = run.table.value(space.size() - 1);
-  return run;
-}
-
-DpRun dp_top_down(const RoundedInstance& rounded, const StateSpace& space,
-                  const ConfigSet& configs, const CancellationToken& cancel,
-                  DpTableMode mode) {
-  DpOptions options;
-  options.cancel = cancel;
-  options.mode = mode;
-  return dp_top_down(rounded, space, configs, options);
 }
 
 }  // namespace pcmax

@@ -1,13 +1,7 @@
-// Sequential realisations of the DP (paper Algorithm 2).
-//
-// Two equivalent strategies:
-//  * bottom-up — fills every entry in row-major (= topological) order; this
-//    is the sequential counterpart of the parallel sweep and the fair
-//    baseline for speedup measurements (identical total work);
-//  * top-down — memoised recursion from OPT(N), as the paper presents
-//    Algorithm 2; it touches only states reachable from N by subtracting
-//    configurations, which on sparse instances can be far fewer than sigma
-//    (quantified by bench/ablation_dp_variants).
+// Sequential realisation of the DP (paper Algorithm 2): a bottom-up fill of
+// every entry in row-major (= topological) order. It is the sequential
+// counterpart of the parallel sweep and the fair baseline for speedup
+// measurements (identical total work).
 #pragma once
 
 #include "algo/ptas/dp_table.hpp"
@@ -29,41 +23,17 @@ struct DpRun {
 struct DpOptions {
   DpKernel kernel = DpKernel::kGlobalConfigs;
   DpTableMode mode = DpTableMode::kValuesAndChoices;
-  LevelPruning pruning = LevelPruning::kOn;
-  TableAlloc table_alloc = TableAlloc::kDefault;
   CancellationToken cancel = {};
 };
 
 /// Bottom-up fill of the whole table in row-major order. `options.kernel`
 /// selects the configuration-scan kernel (kGlobalConfigs resolves to the
 /// fastest one the host supports; kPerEntryEnum replays the paper-faithful
-/// per-entry enumeration); `options.pruning` toggles the level-prefix bound
-/// of the scan kernels and `options.mode` the choice storage (identical
+/// per-entry enumeration) and `options.mode` the choice storage (identical
 /// values either way, and identical canonical choices whenever they are
 /// stored). A cancelled `options.cancel` token throws (amortised check
 /// every ~1k entries); the fill is all-or-nothing.
 DpRun dp_bottom_up(const RoundedInstance& rounded, const StateSpace& space,
-                   const ConfigSet& configs, const DpOptions& options);
-
-/// Positional convenience overload of the options form above.
-DpRun dp_bottom_up(const RoundedInstance& rounded, const StateSpace& space,
-                   const ConfigSet& configs,
-                   DpKernel kernel = DpKernel::kGlobalConfigs,
-                   const CancellationToken& cancel = {},
-                   DpTableMode mode = DpTableMode::kValuesAndChoices,
-                   LevelPruning pruning = LevelPruning::kOn);
-
-/// Top-down memoised evaluation of OPT(N); only reachable entries are set.
-/// The scan kernel follows `options.kernel` (kPerEntryEnum is mapped to the
-/// auto-selected scan kernel: the readiness scan needs the config list
-/// anyway); `options.pruning` is ignored — the readiness logic depends on
-/// the level-prefix bound. Cancellation as in dp_bottom_up.
-DpRun dp_top_down(const RoundedInstance& rounded, const StateSpace& space,
-                  const ConfigSet& configs, const DpOptions& options);
-
-/// Positional convenience overload of the options form above.
-DpRun dp_top_down(const RoundedInstance& rounded, const StateSpace& space,
-                  const ConfigSet& configs, const CancellationToken& cancel = {},
-                  DpTableMode mode = DpTableMode::kValuesAndChoices);
+                   const ConfigSet& configs, const DpOptions& options = {});
 
 }  // namespace pcmax

@@ -1,8 +1,8 @@
-// Vectorised DP scan kernels and the runtime kernel selector.
+// The vectorised DP scan kernel and the runtime kernel selector.
 //
-// The AVX2/AVX-512 kernels vectorise the whole per-entry consider loop,
-// not just the fits test: each 256/512-bit iteration packs 4/8 config
-// words (32/64 digit bytes), computes the SWAR subtract+mask fits test
+// The AVX2 kernel vectorises the whole per-entry consider loop, not just
+// the fits test: each 256-bit iteration packs 4 config words (32 digit
+// bytes), computes the SWAR subtract+mask fits test
 // bytewise, gathers the predecessor values of the fitting lanes with a
 // masked gather, and folds (value << 32 | offset) keys through a vector
 // signed-64 min. The key encoding makes the canonical argmin (min value,
@@ -12,16 +12,14 @@
 // that fail the fits test are blended to INT64_MAX, which conveniently
 // decodes to {kInfeasible, kNoChoice} — no special-casing anywhere.
 //
-// Each kernel carries a per-function target attribute instead of a global
+// The kernel carries a per-function target attribute instead of a global
 // -mavx2 flag, so one binary holds every kernel and select_best_kernel()
 // picks at runtime via cpuid. PCMAX_DISABLE_SIMD (or a non-x86 target)
-// compiles the kernels out; the entry points remain as hard-failing stubs
+// compiles the kernel out; the entry point remains as a hard-failing stub
 // so the inline dispatcher in dp_table.hpp always links, and
-// dp_kernel_supported() reports them unavailable so they are unreachable.
+// dp_kernel_supported() reports it unavailable so it is unreachable.
 
 #include "algo/ptas/dp_table.hpp"
-
-#include <string>
 
 #include "util/error.hpp"
 
@@ -37,79 +35,38 @@ const char* dp_kernel_name(DpKernel kernel) {
   switch (kernel) {
     case DpKernel::kGlobalConfigs: return "auto";
     case DpKernel::kPerEntryEnum: return "per-entry-enum";
-    case DpKernel::kScalar: return "scalar";
     case DpKernel::kSwar: return "swar";
     case DpKernel::kAvx2: return "avx2";
-    case DpKernel::kAvx512: return "avx512";
   }
   return "unknown";
 }
 
-DpKernel dp_kernel_from_name(std::string_view name) {
-  if (name == "auto") return DpKernel::kGlobalConfigs;
-  if (name == "per-entry-enum") return DpKernel::kPerEntryEnum;
-  if (name == "scalar") return DpKernel::kScalar;
-  if (name == "swar") return DpKernel::kSwar;
-  if (name == "avx2") return DpKernel::kAvx2;
-  if (name == "avx512") return DpKernel::kAvx512;
-  throw InvalidArgumentError(
-      "unknown DP kernel '" + std::string(name) +
-      "' (expected auto|per-entry-enum|scalar|swar|avx2|avx512)");
-}
-
 bool dp_kernel_compiled(DpKernel kernel) {
-  switch (kernel) {
-    case DpKernel::kAvx2:
-    case DpKernel::kAvx512:
 #if defined(PCMAX_SIMD_X86)
-      return true;
+  constexpr bool kHaveAvx2 = true;
 #else
-      return false;
+  constexpr bool kHaveAvx2 = false;
 #endif
-    default:
-      return true;
-  }
+  return kernel != DpKernel::kAvx2 || kHaveAvx2;
 }
 
 bool dp_kernel_supported(DpKernel kernel) {
   if (!dp_kernel_compiled(kernel)) return false;
 #if defined(PCMAX_SIMD_X86)
-  switch (kernel) {
-    case DpKernel::kAvx2:
-      return __builtin_cpu_supports("avx2") != 0;
-    case DpKernel::kAvx512:
-      return __builtin_cpu_supports("avx512f") != 0 &&
-             __builtin_cpu_supports("avx512bw") != 0;
-    default:
-      return true;
-  }
-#else
-  return true;  // only scalar kernels are compiled, and those always run
+  if (kernel == DpKernel::kAvx2) return __builtin_cpu_supports("avx2") != 0;
 #endif
+  return true;
 }
 
 DpKernel select_best_kernel() {
-  // AVX2 deliberately outranks AVX-512: paper-scale level prefixes are
-  // short, so the 8-wide AVX-512 blocks run underfilled and its masked
-  // gathers cost more than they save — measured ~1.5x slower than the AVX2
-  // kernel on the m=20/n=100/eps=0.3 family aggregate (BENCH_dp_kernel.json)
-  // while both beat SWAR. kAvx512 remains forceable for wide-level
-  // workloads.
-  if (dp_kernel_supported(DpKernel::kAvx2)) return DpKernel::kAvx2;
-  if (dp_kernel_supported(DpKernel::kAvx512)) return DpKernel::kAvx512;
-  return DpKernel::kSwar;
+  return dp_kernel_supported(DpKernel::kAvx2) ? DpKernel::kAvx2 : DpKernel::kSwar;
 }
 
 DpKernel resolve_dp_kernel(DpKernel requested) {
   switch (requested) {
     case DpKernel::kGlobalConfigs:
-      return select_best_kernel();
-    case DpKernel::kAvx512:
-      if (dp_kernel_supported(DpKernel::kAvx512)) return DpKernel::kAvx512;
-      [[fallthrough]];
     case DpKernel::kAvx2:
-      if (dp_kernel_supported(DpKernel::kAvx2)) return DpKernel::kAvx2;
-      return DpKernel::kSwar;
+      return select_best_kernel();
     default:
       return requested;
   }
@@ -191,86 +148,15 @@ __attribute__((target("avx2"))) void entry_scan_avx2(
                   best, best_choice);
 }
 
-// GCC's avx512fintrin.h initialises intrinsic pass-through operands with
-// _mm512_undefined_epi32 ("__m512i __Y = __Y;"), which -Wmaybe-uninitialized
-// flags inside the system header. Known GCC false positive (PR105593);
-// scoped to this one function.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-
-__attribute__((target("avx512f,avx512bw"))) void entry_scan_avx512(
-    std::size_t index, std::uint64_t pvh, const std::uint64_t* packed,
-    const std::size_t* offsets, const std::int32_t* values, std::size_t count,
-    std::uint64_t& simd_blocks, std::int32_t& best,
-    std::int32_t& best_choice) {
-  constexpr std::size_t kWidth = 8;  // 8 config words per 512-bit vector
-  const __m512i vpvh = _mm512_set1_epi64(static_cast<long long>(pvh));
-  const __m512i vhigh = _mm512_set1_epi64(static_cast<long long>(kSwarHigh));
-  const __m512i vindex = _mm512_set1_epi64(static_cast<long long>(index));
-  const __m512i vsentinel = _mm512_set1_epi64(INT64_MAX);
-  const __m512i vlow32 = _mm512_set1_epi64(0xFFFFFFFFll);
-  const __m256i vinf256 = _mm256_set1_epi32(DpTable::kInfeasible);
-  __m512i vbest = vsentinel;
-  const std::size_t blocks = count / kWidth;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t c = b * kWidth;
-    const __m512i vpacked = _mm512_loadu_si512(
-        reinterpret_cast<const void*>(packed + c));
-    const __m512i diff = _mm512_sub_epi8(vpvh, vpacked);
-    const __mmask8 fits =
-        _mm512_cmpeq_epi64_mask(_mm512_and_si512(diff, vhigh), vhigh);
-    if (fits == 0) continue;
-    const __m512i voffs = _mm512_loadu_si512(
-        reinterpret_cast<const void*>(offsets + c));
-    const __m512i vpred_idx = _mm512_sub_epi64(vindex, voffs);
-    const __m256i gathered =
-        _mm512_mask_i64gather_epi32(vinf256, fits, vpred_idx, values, 4);
-    const __m512i vpred = _mm512_cvtepu32_epi64(gathered);
-    const __m512i vkey = _mm512_mask_mov_epi64(
-        vsentinel, fits,
-        _mm512_or_si512(_mm512_slli_epi64(vpred, 32),
-                        _mm512_and_si512(voffs, vlow32)));
-    vbest = _mm512_min_epi64(vbest, vkey);
-  }
-  simd_blocks += blocks;
-  // Manual horizontal min: _mm512_reduce_min_epi64 trips GCC's
-  // -Wuninitialized on _mm512_undefined_epi32 inside the header.
-  alignas(64) std::int64_t lanes[kWidth];
-  _mm512_store_si512(reinterpret_cast<void*>(lanes), vbest);
-  std::int64_t key = lanes[0];
-  for (std::size_t i = 1; i < kWidth; ++i) {
-    if (lanes[i] < key) key = lanes[i];
-  }
-  fold_candidate(static_cast<std::int32_t>(key >> 32),
-                 static_cast<std::int32_t>(
-                     static_cast<std::uint32_t>(key & 0xFFFFFFFFll)),
-                 best, best_choice);
-  swar_scan_range(index, pvh, packed, offsets, values, blocks * kWidth, count,
-                  best, best_choice);
-}
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 #else  // !PCMAX_SIMD_X86
 
-// Link-time stubs: with vectorisation compiled out, dp_kernel_supported()
-// rejects the vector kernels and resolve_dp_kernel() never yields them, so
-// these are unreachable through the public API.
+// Link-time stub: with vectorisation compiled out, dp_kernel_supported()
+// rejects kAvx2 and resolve_dp_kernel() never yields it, so this is
+// unreachable through the public API.
 void entry_scan_avx2(std::size_t, std::uint64_t, const std::uint64_t*,
                      const std::size_t*, const std::int32_t*, std::size_t,
                      std::uint64_t&, std::int32_t&, std::int32_t&) {
   PCMAX_REQUIRE(false, "AVX2 DP kernel not compiled into this binary");
-}
-
-void entry_scan_avx512(std::size_t, std::uint64_t, const std::uint64_t*,
-                       const std::size_t*, const std::int32_t*, std::size_t,
-                       std::uint64_t&, std::int32_t&, std::int32_t&) {
-  PCMAX_REQUIRE(false, "AVX-512 DP kernel not compiled into this binary");
 }
 
 #endif  // PCMAX_SIMD_X86

@@ -8,21 +8,21 @@
 // probes that only need OPT(N) allocate values-only tables (kValuesOnly),
 // halving table memory and write traffic.
 //
-// The per-entry scan comes in a family of kernels (DpKernel below): the
-// paper-faithful per-entry enumeration, a scalar per-dimension fits test,
-// the SWAR packed-fits scan (one config word per iteration), and
-// runtime-dispatched AVX2/AVX-512 kernels that test 4/8 packed config
-// words (32/64 digit bytes) per vector op and vectorise the argmin
-// reduction as well. All kernels implement the same canonical argmin (min
-// predecessor value, ties towards the smallest encoded offset), so every
-// kernel fills byte-identical tables.
+// The per-entry scan comes in a small family of kernels (DpKernel below):
+// the paper-faithful per-entry enumeration, the SWAR packed-fits scan (one
+// config word per iteration), and a runtime-dispatched AVX2 kernel that
+// tests 4 packed config words (32 digit bytes) per vector op and
+// vectorises the argmin reduction as well. A config set whose digits do
+// not fit a byte falls back to a per-dimension scalar fits test. All of
+// them implement the same canonical argmin (min predecessor value, ties
+// towards the smallest encoded offset), so every kernel fills
+// byte-identical tables.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <cstddef>
 #include <span>
-#include <string_view>
 
 #include "algo/ptas/config_enum.hpp"
 #include "algo/ptas/state_space.hpp"
@@ -63,12 +63,9 @@ class DpTable {
   static constexpr std::int32_t kNoChoice = -1;
 
   /// Allocates a table with `size` unset entries (size must fit in the
-  /// int32 choice encoding). `alloc` selects the backing-store policy;
-  /// TableAlloc::kHugePage requests transparent huge pages for tables of
-  /// at least 2 MiB (advisory — see TableBuffer).
+  /// int32 choice encoding).
   explicit DpTable(std::size_t size,
-                   DpTableMode mode = DpTableMode::kValuesAndChoices,
-                   TableAlloc alloc = TableAlloc::kDefault);
+                   DpTableMode mode = DpTableMode::kValuesAndChoices);
 
   [[nodiscard]] std::size_t size() const { return values_.size(); }
 
@@ -110,45 +107,36 @@ enum class DpKernel {
   /// per-entry work — this is the cost profile the paper measured, and the
   /// profile the speedup figures replay.
   kPerEntryEnum,
-  /// Scalar per-dimension fits test over the level-bounded prefix.
-  kScalar,
   /// SWAR packed fits: one 8-byte config word per iteration
   /// (subtract + high-bit mask over ConfigSet::packed).
   kSwar,
   /// AVX2: 4 packed config words (32 digit bytes) per 256-bit op, masked
   /// predecessor gather, vectorised canonical-argmin reduction.
   kAvx2,
-  /// AVX-512 (F+BW): 8 packed config words (64 digit bytes) per 512-bit op.
-  kAvx512,
 };
 
-/// Stable lowercase name of a kernel ("auto", "per-entry-enum", "scalar",
-/// "swar", "avx2", "avx512") for CLI flags, JSON output, and metrics notes.
+/// Stable lowercase name of a kernel ("auto", "per-entry-enum", "swar",
+/// "avx2") for JSON output and metrics notes.
 const char* dp_kernel_name(DpKernel kernel);
 
-/// Parses dp_kernel_name() output (case-sensitive). Throws
-/// InvalidArgumentError on an unknown name, listing the valid spellings.
-DpKernel dp_kernel_from_name(std::string_view name);
-
-/// True iff the kernel's code path is compiled into this binary. Scalar
-/// kernels are always compiled; kAvx2/kAvx512 require an x86-64 build
-/// without PCMAX_DISABLE_SIMD.
+/// True iff the kernel's code path is compiled into this binary. kAvx2
+/// requires an x86-64 build without PCMAX_DISABLE_SIMD; the others are
+/// always compiled.
 bool dp_kernel_compiled(DpKernel kernel);
 
 /// True iff the kernel is compiled in AND the host CPU supports its ISA
-/// (cpuid probe for the vector kernels; always true for the scalar ones).
+/// (cpuid probe for kAvx2; always true for the portable ones).
 bool dp_kernel_supported(DpKernel kernel);
 
-/// The fastest supported packed-scan kernel on this host:
-/// kAvx2 > kAvx512 > kSwar (AVX2 outranks AVX-512 by measurement — see
-/// dp_simd.cpp and docs/performance.md). Never returns a kernel that
+/// The fastest supported packed-scan kernel on this host: kAvx2 when the
+/// CPU has AVX2, else kSwar. Never returns a kernel that
 /// dp_kernel_supported() rejects.
 DpKernel select_best_kernel();
 
 /// Maps a requested kernel to the one the DP will actually run:
-/// kGlobalConfigs -> select_best_kernel(); an unsupported vector kernel
-/// degrades down the chain (kAvx512 -> kAvx2 -> kSwar); everything else is
-/// identity. The result always satisfies dp_kernel_supported().
+/// kGlobalConfigs -> select_best_kernel(); an unsupported kAvx2 degrades to
+/// kSwar; everything else is identity. The result always satisfies
+/// dp_kernel_supported().
 DpKernel resolve_dp_kernel(DpKernel requested);
 
 /// Statistics of one DP execution.
@@ -171,12 +159,12 @@ struct EntryResult {
 };
 
 /// Per-worker scan counter bundle threaded through compute_entry.
-/// simd_blocks counts full-width vector iterations of the AVX kernels;
-/// scalar_fallbacks counts entries where a *vector* kernel had to degrade
-/// to the SWAR/scalar path (unpackable config set, or a level prefix
-/// shorter than the vector width). The explicit scalar/SWAR kernels and
-/// the LevelPruning::kOff baseline never count as fallbacks — they are the
-/// requested behaviour, not a degradation.
+/// simd_blocks counts full-width vector iterations of the AVX2 kernel;
+/// scalar_fallbacks counts entries where the AVX2 kernel had to degrade to
+/// the SWAR or scalar path (unpackable config set, or a level prefix
+/// shorter than the vector width). The SWAR kernel never counts a
+/// fallback, not even on an unpackable set: the scalar path is its
+/// documented behaviour there, not a degradation.
 struct DpScanCounters {
   std::uint64_t scans = 0;
   std::uint64_t pruned = 0;
@@ -193,20 +181,6 @@ inline void accumulate_scan_counters(DpStats& stats,
   stats.scalar_fallbacks += counters.scalar_fallbacks;
 }
 
-/// Selects the fast or the baseline realisation of the global-config
-/// kernel's scan. kOn is the level-aware fast path: the scan covers only
-/// the level-bounded prefix of the (level-sorted) set, and the fits test
-/// uses the packed comparison of the selected kernel when the set is
-/// packable. kOff replays the pre-optimisation kernel — full scan, scalar
-/// per-dimension fits, whatever kernel was requested — and exists as the
-/// baseline for the benches and the crosscheck tests. Both settings
-/// produce identical tables (the canonical argmin is order-independent,
-/// and pruned configs can never fit).
-enum class LevelPruning {
-  kOn,
-  kOff,
-};
-
 namespace detail {
 
 /// High bits of the SWAR packed-fits test (see ConfigSet::packed).
@@ -220,7 +194,7 @@ inline constexpr std::size_t kSwarPrefetchDist = 16;
 /// SWAR packed-fits scan over configs [begin, end): folds every fitting
 /// config into the canonical (min predecessor value, ties to smallest
 /// offset) argmin held in best/best_choice. Shared by the SWAR kernel and
-/// the tails of the vector kernels, so tails stay bit-compatible for free.
+/// the tail of the AVX2 kernel, so the tail stays bit-compatible for free.
 inline void swar_scan_range(std::size_t index, std::uint64_t pvh,
                             const std::uint64_t* packed,
                             const std::size_t* offsets,
@@ -259,13 +233,6 @@ void entry_scan_avx2(std::size_t index, std::uint64_t pvh,
                      std::uint64_t& simd_blocks, std::int32_t& best,
                      std::int32_t& best_choice);
 
-/// AVX-512 (F+BW) scan: 8-config blocks, otherwise as entry_scan_avx2.
-void entry_scan_avx512(std::size_t index, std::uint64_t pvh,
-                       const std::uint64_t* packed, const std::size_t* offsets,
-                       const std::int32_t* values, std::size_t count,
-                       std::uint64_t& simd_blocks, std::int32_t& best,
-                       std::int32_t& best_choice);
-
 }  // namespace detail
 
 /// Evaluates the recurrence for entry `index` with digits `v` on
@@ -277,28 +244,26 @@ void entry_scan_avx512(std::size_t index, std::uint64_t pvh,
 /// predecessor entries must already be computed.
 ///
 /// `kernel` selects the fits-test realisation and must already be resolved
-/// (resolve_dp_kernel); passing kGlobalConfigs or kPerEntryEnum here scans
-/// with SWAR. A vector kernel silently degrades to SWAR (counting a
-/// scalar_fallback) when the set is unpackable or the level prefix is
-/// shorter than the vector width. All kernels produce identical results.
+/// (resolve_dp_kernel); anything but kAvx2 scans with SWAR. kAvx2 degrades
+/// to SWAR (counting a scalar_fallback) when the level prefix is shorter
+/// than the vector width. An unpackable set (more than 8 classes, or a
+/// digit above 127) runs the per-dimension scalar fits test under every
+/// kernel, and kAvx2 counts that as a fallback too. All kernels produce
+/// identical results.
 inline EntryResult compute_entry(std::size_t index, std::span<const int> v,
                                  int level, const ConfigSet& configs,
                                  const std::int32_t* values,
                                  DpScanCounters& counters,
-                                 LevelPruning pruning = LevelPruning::kOn,
                                  DpKernel kernel = DpKernel::kSwar) {
   std::int32_t best = DpTable::kInfeasible;
   std::int32_t best_choice = DpTable::kNoChoice;
   const auto dims = static_cast<std::size_t>(configs.dims);
   const std::size_t* offsets = configs.offsets.data();
-  const std::size_t count =
-      pruning == LevelPruning::kOn ? configs.prefix_count(level) : configs.count();
+  const std::size_t count = configs.prefix_count(level);
   counters.scans += count;
   counters.pruned += configs.count() - count;
-  const bool vector_kernel =
-      kernel == DpKernel::kAvx2 || kernel == DpKernel::kAvx512;
-  if (pruning == LevelPruning::kOn && configs.packable &&
-      kernel != DpKernel::kScalar) {
+  const bool vector_kernel = kernel == DpKernel::kAvx2;
+  if (configs.packable) {
     // Packed fits test (see ConfigSet::packed): every byte of the bytewise
     // difference keeps its high bit iff s <= v in that dimension.
     std::uint64_t pv = 0;
@@ -307,21 +272,16 @@ inline EntryResult compute_entry(std::size_t index, std::span<const int> v,
     }
     const std::uint64_t pvh = pv | detail::kSwarHigh;
     const std::uint64_t* packed = configs.packed.data();
-    if (kernel == DpKernel::kAvx2 && count >= 4) {
+    if (vector_kernel && count >= 4) {
       detail::entry_scan_avx2(index, pvh, packed, offsets, values, count,
                               counters.simd_blocks, best, best_choice);
-    } else if (kernel == DpKernel::kAvx512 && count >= 8) {
-      detail::entry_scan_avx512(index, pvh, packed, offsets, values, count,
-                                counters.simd_blocks, best, best_choice);
     } else {
       if (vector_kernel) ++counters.scalar_fallbacks;
       detail::swar_scan_range(index, pvh, packed, offsets, values, 0, count,
                               best, best_choice);
     }
   } else {
-    if (vector_kernel && pruning == LevelPruning::kOn) {
-      ++counters.scalar_fallbacks;  // unpackable set: nothing to vectorise
-    }
+    if (vector_kernel) ++counters.scalar_fallbacks;  // unpackable set
     // Canonical argmin: min value, ties towards the smallest encoded
     // offset. The explicit tie-break makes the result independent of the
     // scan order (the level sort interleaves offsets across levels).

@@ -21,7 +21,6 @@ int accuracy_k(double epsilon) {
 std::string dp_engine_name(DpEngine engine) {
   switch (engine) {
     case DpEngine::kBottomUp: return "bottom-up";
-    case DpEngine::kTopDown: return "top-down";
     case DpEngine::kParallelScan: return "parallel-scan";
     case DpEngine::kParallelBucketed: return "parallel-bucketed";
   }
@@ -37,41 +36,21 @@ PtasSolver::PtasSolver(PtasOptions options)
 }
 
 std::string PtasSolver::name() const {
-  switch (options_.engine) {
-    case DpEngine::kBottomUp:
-    case DpEngine::kTopDown:
-      return "PTAS";
-    default:
-      return "ParallelPTAS";
-  }
+  return options_.engine == DpEngine::kBottomUp ? "PTAS" : "ParallelPTAS";
 }
 
 DpBackendFn PtasSolver::make_backend(DpTableMode mode,
                                      const CancellationToken& cancel) const {
+  DpOptions sequential;
+  sequential.kernel = options_.kernel;
+  sequential.mode = mode;
+  sequential.cancel = cancel;
   switch (options_.engine) {
-    case DpEngine::kBottomUp: {
-      DpOptions dp_options;
-      dp_options.kernel = options_.kernel;
-      dp_options.mode = mode;
-      dp_options.pruning = options_.pruning;
-      dp_options.table_alloc = options_.table_alloc;
-      dp_options.cancel = cancel;
-      return [dp_options](const RoundedInstance& rounded,
+    case DpEngine::kBottomUp:
+      return [sequential](const RoundedInstance& rounded,
                           const StateSpace& space, const ConfigSet& configs) {
-        return dp_bottom_up(rounded, space, configs, dp_options);
+        return dp_bottom_up(rounded, space, configs, sequential);
       };
-    }
-    case DpEngine::kTopDown: {
-      DpOptions dp_options;
-      dp_options.kernel = options_.kernel;  // kPerEntryEnum maps to auto
-      dp_options.mode = mode;
-      dp_options.table_alloc = options_.table_alloc;
-      dp_options.cancel = cancel;
-      return [dp_options](const RoundedInstance& rounded,
-                          const StateSpace& space, const ConfigSet& configs) {
-        return dp_top_down(rounded, space, configs, dp_options);
-      };
-    }
     case DpEngine::kParallelScan:
     case DpEngine::kParallelBucketed: {
       ParallelDpOptions dp_options;
@@ -79,30 +58,20 @@ DpBackendFn PtasSolver::make_backend(DpTableMode mode,
       dp_options.variant = options_.engine == DpEngine::kParallelScan
                                ? ParallelDpVariant::kScanPerLevel
                                : ParallelDpVariant::kBucketed;
-      dp_options.schedule = options_.schedule;
       dp_options.kernel = options_.kernel;
-      dp_options.iteration = options_.iteration;
-      dp_options.pruning = options_.pruning;
       dp_options.table_mode = mode;
-      dp_options.table_alloc = options_.table_alloc;
       dp_options.cancel = cancel;
       // A team-sweep fill too small to split runs inline on the caller as
       // dp_bottom_up (the same table; see kTeamFillMinWork). Only a team
       // wider than one thread has a hand-off and barrier waits to save.
       const bool team_sweep = options_.engine == DpEngine::kParallelBucketed &&
                               options_.executor->team_size() > 1;
-      DpOptions inline_options;
-      inline_options.kernel = options_.kernel;
-      inline_options.mode = mode;
-      inline_options.pruning = options_.pruning;
-      inline_options.table_alloc = options_.table_alloc;
-      inline_options.cancel = cancel;
-      return [dp_options, team_sweep, inline_options](const RoundedInstance& rounded,
-                                                      const StateSpace& space,
-                                                      const ConfigSet& configs) {
+      return [dp_options, team_sweep, sequential](const RoundedInstance& rounded,
+                                                  const StateSpace& space,
+                                                  const ConfigSet& configs) {
         if (team_sweep && static_cast<std::uint64_t>(space.size()) * configs.count() <
                               kTeamFillMinWork) {
-          return dp_bottom_up(rounded, space, configs, inline_options);
+          return dp_bottom_up(rounded, space, configs, sequential);
         }
         return dp_parallel(rounded, space, configs, dp_options);
       };
@@ -128,13 +97,10 @@ PtasResult PtasSolver::solve_impl(const Instance& instance,
   const ContextScopes scopes(context);
   const CancellationToken stop = context.effective_token();
 
-  // Search probes only read OPT(N), so they can run values-only (halved
-  // table memory and write traffic); the final run at T* must keep choices
-  // for the reconstruction walk.
-  const DpBackendFn probe_backend =
-      make_backend(options_.values_only_probes ? DpTableMode::kValuesOnly
-                                               : DpTableMode::kValuesAndChoices,
-                   stop);
+  // Search probes only read OPT(N), so they run values-only (halved table
+  // memory and write traffic); the final run at T* must keep choices for
+  // the reconstruction walk.
+  const DpBackendFn probe_backend = make_backend(DpTableMode::kValuesOnly, stop);
   const DpBackendFn final_backend =
       make_backend(DpTableMode::kValuesAndChoices, stop);
 

@@ -1,7 +1,7 @@
 // Public facade of the (parallel) Hochbaum-Shmoys PTAS.
 //
 // PtasSolver implements paper Algorithm 1; the choice of DP engine turns it
-// into the sequential PTAS (kBottomUp/kTopDown) or the paper's parallel
+// into the sequential PTAS (kBottomUp) or the paper's parallel
 // approximation algorithm (the parallel engines replace Algorithm 2 with
 // Algorithm 3, everything else unchanged — paper §III, last paragraph).
 //
@@ -22,7 +22,6 @@ namespace pcmax {
 /// Which DP realisation drives the bisection probes.
 enum class DpEngine {
   kBottomUp,          ///< sequential full-table fill (speedup baseline)
-  kTopDown,           ///< sequential memoised recursion (paper Alg. 2 as written)
   kParallelScan,      ///< Algorithm 3, paper-faithful scan per level
   kParallelBucketed,  ///< Algorithm 3 as one team episode per fill
 };
@@ -59,32 +58,14 @@ struct PtasOptions {
   /// Executor for the parallel engines; non-owning, must outlive the solver.
   /// Ignored by sequential engines.
   Executor* executor = nullptr;
-  /// Per-level iteration assignment of kParallelScan (paper: round-robin).
-  /// The team sweep of kParallelBucketed ignores it.
-  LoopSchedule schedule = LoopSchedule::kRoundRobin;
   /// Per-entry kernel. kGlobalConfigs (default) scans a precomputed global
   /// configuration set with the fastest fits-test kernel the host supports
-  /// (runtime-dispatched: AVX2 > AVX-512 > SWAR); kScalar/kSwar/kAvx2/
-  /// kAvx512 force a specific one (unsupported vector kernels degrade down
-  /// the chain). kPerEntryEnum re-enumerates C_v per entry exactly as the
-  /// paper's Algorithm 3 does, reproducing the cost profile behind the
-  /// paper's speedup figures (kTopDown maps it to the auto-selected scan).
-  /// Results are identical for every kernel.
+  /// (AVX2 when the CPU has it, else SWAR); kSwar/kAvx2 force one (an
+  /// unsupported kAvx2 degrades to SWAR). kPerEntryEnum re-enumerates C_v
+  /// per entry exactly as the paper's Algorithm 3 does, reproducing the
+  /// cost profile behind the paper's speedup figures. Results are
+  /// identical for every kernel.
   DpKernel kernel = DpKernel::kGlobalConfigs;
-  /// Level enumeration of the kParallelBucketed engine: LevelWalker
-  /// rank/unrank slicing (kWalker, the fast path) or the legacy precomputed
-  /// LevelIndex (kIndexed baseline). Identical tables either way.
-  LevelIteration iteration = LevelIteration::kWalker;
-  /// Level-prefix pruning of the global-config kernel (kOff = pre-pruning
-  /// baseline). Identical tables either way.
-  LevelPruning pruning = LevelPruning::kOn;
-  /// When true (default), search probes run with values-only DP tables —
-  /// bisection/multisection only read OPT(N), so the choice array is dead
-  /// weight there. The final reconstruction run always keeps choices.
-  bool values_only_probes = true;
-  /// Backing store of the DP tables; kHugePage requests transparent huge
-  /// pages for tables of at least 2 MiB (advisory — see TableBuffer).
-  TableAlloc table_alloc = TableAlloc::kDefault;
   /// Resource budgets for each DP probe.
   DpLimits limits;
   /// Concurrent probes per search round (extension beyond the paper):

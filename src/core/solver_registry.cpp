@@ -107,9 +107,6 @@ PtasOptions ptas_options_from(const SolverBuild& build, DpEngine engine) {
   options.epsilon = build.epsilon;
   options.engine = engine;
   options.executor = build.executor;
-  options.kernel = dp_kernel_from_name(build.dp_kernel);
-  options.table_alloc =
-      build.dp_huge_pages ? TableAlloc::kHugePage : TableAlloc::kDefault;
   return options;
 }
 

@@ -42,17 +42,6 @@ struct SolverBuild {
   /// Non-owning; must outlive the constructed solver.
   Executor* executor = nullptr;
 
-  /// Per-entry DP kernel of the PTAS solvers: "auto" (default, the fastest
-  /// fits-test kernel the host supports), "per-entry-enum", "scalar",
-  /// "swar", "avx2", or "avx512" (unsupported vector kernels degrade down
-  /// the chain; results are identical for every kernel). A string rather
-  /// than the DpKernel enum so this header stays below the algo layer.
-  std::string dp_kernel = "auto";
-
-  /// When true, the PTAS DP tables request transparent huge pages for
-  /// allocations of at least 2 MiB (advisory — see TableBuffer).
-  bool dp_huge_pages = false;
-
   /// Wall-clock budget of the exact solvers ("ip", "milp"), seconds.
   double exact_seconds = 300.0;
 

@@ -89,7 +89,16 @@ enum class Counter : unsigned {
   kServiceFuturesExpired,      ///< deadline-expired waits answered shed:deadline
   kServiceIncrementalResolves, ///< submit_prepared re-solves (canonicalization skipped)
 };
-inline constexpr std::size_t kCounterCount = 42;
+/// Derived from the last enumerator, so removing a counter cannot leave an
+/// unnamed slot. A counter appended after it must take its place here; the
+/// pinned total makes every change of the enum revisit this line, and
+/// Metrics.StableNamesForEveryCounterAndTimer fails on a named slot past
+/// the count.
+inline constexpr std::size_t kCounterCount =
+    static_cast<std::size_t>(Counter::kServiceIncrementalResolves) + 1;
+static_assert(kCounterCount == 42,
+              "Counter enum changed: derive kCounterCount from its last "
+              "enumerator and update this total");
 
 /// Stable snake-case name used as the JSON key (e.g. "pool.iterations").
 const char* counter_name(Counter counter);
@@ -104,7 +113,12 @@ enum class Timer : unsigned {
   kLpSolve,         ///< one simplex solve
   kServiceRequest,  ///< end-to-end request latency inside a service worker
 };
-inline constexpr std::size_t kTimerCount = 7;
+/// Derived from the last enumerator, as kCounterCount.
+inline constexpr std::size_t kTimerCount =
+    static_cast<std::size_t>(Timer::kServiceRequest) + 1;
+static_assert(kTimerCount == 7,
+              "Timer enum changed: derive kTimerCount from its last "
+              "enumerator and update this total");
 
 /// Stable name used as the JSON key (e.g. "barrier.wait").
 const char* timer_name(Timer timer);

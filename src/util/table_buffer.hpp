@@ -2,14 +2,9 @@
 //
 // The DP tables are the largest allocations in the solver (sigma int32
 // entries, up to the DpLimits::max_table_entries cap of ~64M). A plain
-// std::vector gives 16-byte alignment and 4 KiB pages; TableBuffer instead
-// guarantees cache-line alignment (so the SIMD kernels' unaligned loads
-// never split a line at the base) and, on request, backs large tables with
-// transparent huge pages: the buffer is then aligned to the 2 MiB huge-page
-// size and advised with MADV_HUGEPAGE, cutting dTLB misses on the random
-// predecessor gathers of the DP scan. Huge-page placement is advisory —
-// when the kernel has THP disabled the buffer degrades to an ordinary
-// aligned allocation, so the flag is always safe to set.
+// std::vector gives 16-byte alignment; TableBuffer instead guarantees
+// cache-line alignment, so the SIMD kernels' unaligned loads never split a
+// line at the base.
 #pragma once
 
 #include <algorithm>
@@ -18,25 +13,11 @@
 #include <type_traits>
 #include <utility>
 
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
-
 namespace pcmax {
-
-/// Allocation policy of one TableBuffer (and of the DpTable built on it).
-enum class TableAlloc {
-  /// Cache-line (64-byte) aligned allocation.
-  kDefault,
-  /// Additionally align to 2 MiB and advise transparent huge pages when the
-  /// buffer spans at least one huge page; smaller buffers fall back to
-  /// kDefault. Advisory: safe on hosts without THP.
-  kHugePage,
-};
 
 /// Fixed-size aligned array of trivially copyable elements. Replaces
 /// std::vector for the DP tables; the size is fixed at construction (DP
-/// tables never grow) and the storage alignment follows TableAlloc.
+/// tables never grow) and the storage is cache-line aligned.
 template <typename T>
 class TableBuffer {
   static_assert(std::is_trivially_copyable_v<T>,
@@ -44,34 +25,19 @@ class TableBuffer {
 
  public:
   static constexpr std::size_t kCacheLine = 64;
-  static constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
 
   TableBuffer() = default;
 
   /// Allocates `size` elements, all initialised to `fill`.
-  TableBuffer(std::size_t size, T fill, TableAlloc alloc = TableAlloc::kDefault)
-      : size_(size) {
+  TableBuffer(std::size_t size, T fill) : size_(size) {
     if (size_ == 0) return;
-    const std::size_t bytes = size_ * sizeof(T);
-    const bool huge = alloc == TableAlloc::kHugePage && bytes >= kHugePageBytes;
-    alignment_ = huge ? kHugePageBytes : kCacheLine;
-    data_ = static_cast<T*>(
-        ::operator new(bytes, std::align_val_t(alignment_)));
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-    if (huge) {
-      // Advisory only; an EINVAL (THP compiled out) leaves a plain
-      // 2MiB-aligned buffer, which is still the better-behaved layout.
-      (void)::madvise(data_, bytes, MADV_HUGEPAGE);
-    }
-#endif
+    data_ = allocate(size_);
     std::fill_n(data_, size_, fill);
   }
 
   TableBuffer(const TableBuffer& other) : size_(other.size_) {
     if (size_ == 0) return;
-    alignment_ = other.alignment_;
-    data_ = static_cast<T*>(
-        ::operator new(size_ * sizeof(T), std::align_val_t(alignment_)));
+    data_ = allocate(size_);
     std::copy_n(other.data_, size_, data_);
   }
 
@@ -98,7 +64,6 @@ class TableBuffer {
   void swap(TableBuffer& other) noexcept {
     std::swap(data_, other.data_);
     std::swap(size_, other.size_);
-    std::swap(alignment_, other.alignment_);
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -108,21 +73,26 @@ class TableBuffer {
   [[nodiscard]] T& operator[](std::size_t i) { return data_[i]; }
   [[nodiscard]] const T& operator[](std::size_t i) const { return data_[i]; }
   /// Alignment of the live allocation in bytes (0 when empty).
-  [[nodiscard]] std::size_t alignment() const { return alignment_; }
+  [[nodiscard]] std::size_t alignment() const {
+    return data_ == nullptr ? 0 : kCacheLine;
+  }
 
  private:
+  static T* allocate(std::size_t size) {
+    return static_cast<T*>(
+        ::operator new(size * sizeof(T), std::align_val_t(kCacheLine)));
+  }
+
   void release() {
     if (data_ != nullptr) {
-      ::operator delete(data_, std::align_val_t(alignment_));
+      ::operator delete(data_, std::align_val_t(kCacheLine));
       data_ = nullptr;
     }
     size_ = 0;
-    alignment_ = 0;
   }
 
   T* data_ = nullptr;
   std::size_t size_ = 0;
-  std::size_t alignment_ = 0;
 };
 
 }  // namespace pcmax

@@ -20,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "obs/metrics_json.hpp"
 #include "parallel/executor.hpp"
+#include "util/error.hpp"
 #include "util/json.hpp"
 
 namespace pcmax {
@@ -152,6 +153,12 @@ TEST(Metrics, StableNamesForEveryCounterAndTimer) {
     ASSERT_NE(name, nullptr);
     EXPECT_GT(std::string(name).size(), 0u) << "timer " << i;
   }
+  // A named slot past the count means an enumerator was appended after the
+  // one the count is derived from.
+  EXPECT_THROW((void)obs::counter_name(static_cast<obs::Counter>(obs::kCounterCount)),
+               InvalidArgumentError);
+  EXPECT_THROW((void)obs::timer_name(static_cast<obs::Timer>(obs::kTimerCount)),
+               InvalidArgumentError);
 }
 
 // ---------------------------------------------------------------------------
@@ -230,15 +237,10 @@ TEST(MetricsDp, CountersDeterministicUnderSequentialExecutor) {
       SequentialExecutor executor;
       for (const ParallelDpVariant variant :
            {ParallelDpVariant::kScanPerLevel, ParallelDpVariant::kBucketed}) {
-        for (const LoopSchedule schedule :
-             {LoopSchedule::kStatic, LoopSchedule::kRoundRobin,
-              LoopSchedule::kDynamic}) {
-          ParallelDpOptions options;
-          options.executor = &executor;
-          options.variant = variant;
-          options.schedule = schedule;
-          dp_parallel(f.rounded, f.space, f.configs, options);
-        }
+        ParallelDpOptions options;
+        options.executor = &executor;
+        options.variant = variant;
+        dp_parallel(f.rounded, f.space, f.configs, options);
       }
       dp_bottom_up(f.rounded, f.space, f.configs);
     });
@@ -250,9 +252,9 @@ TEST(MetricsDp, CountersDeterministicUnderSequentialExecutor) {
     EXPECT_EQ(first->counter_total(counter), second->counter_total(counter))
         << obs::counter_name(counter);
   }
-  // 7 DP runs per repetition, each visible as a structured record.
-  EXPECT_EQ(first->counter_total(obs::Counter::kDpRuns), 7u);
-  EXPECT_EQ(first->dp_runs().size(), 7u);
+  // 3 DP runs per repetition, each visible as a structured record.
+  EXPECT_EQ(first->counter_total(obs::Counter::kDpRuns), 3u);
+  EXPECT_EQ(first->dp_runs().size(), 3u);
 }
 
 TEST(MetricsDp, PerWorkerEntryTotalsSumToStateSpaceSize) {
@@ -282,7 +284,7 @@ TEST(MetricsDp, PerWorkerEntryTotalsSumToStateSpaceSize) {
       EXPECT_EQ(run.table_size, sigma) << run.variant;
       // The acceptance property: per-worker iteration totals conserve the
       // state space — every entry is computed exactly once by exactly one
-      // worker, regardless of variant, schedule, or thread count.
+      // worker, regardless of variant, executor, or thread count.
       EXPECT_EQ(sum(run.per_worker_entries), sigma) << run.variant;
       EXPECT_EQ(run.levels, f.space.max_level() + 1) << run.variant;
       if (!run.per_level.empty()) {

@@ -4,19 +4,21 @@
 // Two entirely different solvers (counting DP over configurations vs DFS
 // packing with dominance pruning) agreeing across random shapes is strong
 // evidence both are right.
-// A second family of cross-checks covers the parallel realisations: every
-// ParallelDpVariant under every LoopSchedule must reproduce the sequential
-// bottom-up table byte for byte (values AND argmin choices) and perform the
-// identical number of entry computations, across randomized shapes. The
-// team sweep (one Executor::run_team episode per fill) is checked against
-// the sequential reference at 1, 2, 3 and 8 threads on every executor
-// backend, in both table modes, and PtasSolver's inline cutoff on both
-// sides of kTeamFillMinWork.
+// A second family, the DpPathCrossCheck suite, runs every DP path against
+// one reference: dp_bottom_up with the paper's per-entry enumeration
+// kernel, which shares no fits-test code with the packed kernels. Bottom-up
+// on SWAR and on AVX2, the scan-per-level sweep and the team sweep (one
+// Executor::run_team episode per fill) — the parallel paths at 1, 2, 3 and
+// 8 threads on every executor backend — must reproduce its values and
+// argmin choices byte for byte in both table modes, compute every entry
+// once and conserve scans + pruned. PtasSolver's inline cutoff is checked
+// on both sides of kTeamFillMinWork.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -134,7 +136,8 @@ TEST(DpCrossCheck, MachineCountMonotoneInTarget) {
 }
 
 /// Asserts `run` reproduces `reference` byte for byte: same OPT(N), same
-/// value and same argmin choice at every entry.
+/// value at every entry, and the same argmin choice wherever `run` keeps
+/// choices.
 void expect_identical_tables(const DpRun& reference, const DpRun& run,
                              const std::string& what) {
   ASSERT_EQ(run.table.size(), reference.table.size()) << what;
@@ -142,60 +145,14 @@ void expect_identical_tables(const DpRun& reference, const DpRun& run,
   for (std::size_t i = 0; i < reference.table.size(); ++i) {
     ASSERT_EQ(run.table.value(i), reference.table.value(i))
         << what << " value at entry " << i;
-    ASSERT_EQ(run.table.choice(i), reference.table.choice(i))
-        << what << " choice at entry " << i;
-  }
-}
-
-TEST(DpCrossCheck, AllVariantsAndSchedulesMatchSequentialOnRandomShapes) {
-  constexpr ParallelDpVariant kVariants[] = {ParallelDpVariant::kScanPerLevel,
-                                             ParallelDpVariant::kBucketed};
-  constexpr LoopSchedule kSchedules[] = {
-      LoopSchedule::kStatic, LoopSchedule::kRoundRobin, LoopSchedule::kDynamic};
-  Xoshiro256StarStar rng(0xDECADE);
-  ThreadPoolExecutor executor(4);
-  for (int round = 0; round < 8; ++round) {
-    const Time target = uniform_int(rng, 25, 60);
-    const int dims = static_cast<int>(uniform_int(rng, 1, 3));
-    std::vector<Time> sizes;
-    std::vector<int> counts;
-    for (int d = 0; d < dims; ++d) {
-      sizes.push_back(uniform_int(rng, target / 4 + 1, target));
-      counts.push_back(static_cast<int>(uniform_int(rng, 1, 5)));
-    }
-    const RoundedInstance rounded = make_rounded(sizes, counts, target);
-    const StateSpace space(counts, kBig);
-    const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-    const DpRun reference = dp_bottom_up(rounded, space, configs);
-    ASSERT_EQ(reference.stats.entries_computed, space.size());
-
-    for (const ParallelDpVariant variant : kVariants) {
-      for (const LoopSchedule schedule : kSchedules) {
-        for (const LevelIteration iteration :
-             {LevelIteration::kWalker, LevelIteration::kIndexed}) {
-          ParallelDpOptions options;
-          options.executor = &executor;
-          options.variant = variant;
-          options.schedule = schedule;
-          options.iteration = iteration;
-          const DpRun run = dp_parallel(rounded, space, configs, options);
-          const std::string what = parallel_dp_variant_name(variant) + "/" +
-                                   loop_schedule_name(schedule) + "/" +
-                                   level_iteration_name(iteration) + " round " +
-                                   std::to_string(round);
-          expect_identical_tables(reference, run, what);
-          // Entries-processed totals are identical too: every realisation
-          // computes each of the sigma entries exactly once, independent of
-          // how iterations were assigned to workers.
-          EXPECT_EQ(run.stats.entries_computed, reference.stats.entries_computed)
-              << what;
-        }
-      }
+    if (run.table.has_choices()) {
+      ASSERT_EQ(run.table.choice(i), reference.table.choice(i))
+          << what << " choice at entry " << i;
     }
   }
 }
 
-/// Executor backends of the team-sweep matrix: every backend this build has.
+/// Executor backends of the parallel paths: every backend this build has.
 std::vector<std::string> team_backends() {
   std::vector<std::string> backends{"threadpool", "workstealing"};
 #if defined(PCMAX_HAVE_OPENMP)
@@ -204,71 +161,128 @@ std::vector<std::string> team_backends() {
   return backends;
 }
 
-TEST(DpCrossCheck, TeamSweepMatchesBottomUpAtEveryThreadCount) {
-  // The serial reference first, then the team sweep at 1, 2, 3 and 8
-  // threads on every executor backend, walker and indexed. Each must
-  // reproduce dp_bottom_up byte for byte (values and argmin choices),
-  // compute each entry once, conserve scans + pruned against the unpruned
-  // scan total, and fill as one region; its values-only probe must match
-  // the reference value for value.
+/// One rounded DP input of the cross-check suite.
+struct Shape {
+  std::vector<Time> sizes;
+  std::vector<int> counts;
+  Time target;
+};
+
+/// Hand-picked shapes (the paper example, a single class, the empty
+/// instance, four classes) plus random ones.
+std::vector<Shape> crosscheck_shapes() {
+  std::vector<Shape> shapes{{{6, 11}, {2, 3}, 30},
+                            {{9, 13, 17}, {3, 2, 2}, 40},
+                            {{20}, {5}, 30},
+                            {{}, {}, 30},
+                            {{7, 8, 9, 10}, {2, 1, 2, 1}, 31}};
   Xoshiro256StarStar rng(0x7EA3);
-  for (int round = 0; round < 3; ++round) {
-    const Time target = uniform_int(rng, 25, 60);
-    const int dims = static_cast<int>(uniform_int(rng, 2, 3));
-    std::vector<Time> sizes;
-    std::vector<int> counts;
+  for (int round = 0; round < 6; ++round) {
+    Shape shape;
+    shape.target = uniform_int(rng, 25, 60);
+    const int dims = static_cast<int>(uniform_int(rng, 1, 3));
     for (int d = 0; d < dims; ++d) {
-      sizes.push_back(uniform_int(rng, target / 4 + 1, target));
-      counts.push_back(static_cast<int>(uniform_int(rng, 1, 5)));
+      shape.sizes.push_back(uniform_int(rng, shape.target / 4 + 1, shape.target));
+      shape.counts.push_back(static_cast<int>(uniform_int(rng, 1, 6)));
     }
-    const RoundedInstance rounded = make_rounded(sizes, counts, target);
-    const StateSpace space(counts, kBig);
+    shapes.push_back(std::move(shape));
+  }
+  return shapes;
+}
+
+/// The DP paths that fill tables in this library.
+enum class DpPath { kBottomUp, kScanPerLevel, kTeamSweep };
+
+using CrossCheckParam = std::tuple<DpPath, DpKernel, DpTableMode>;
+
+class DpPathCrossCheck : public ::testing::TestWithParam<CrossCheckParam> {};
+
+TEST_P(DpPathCrossCheck, MatchesThePerEntryReference) {
+  // A forced AVX2 kernel on a host or build without it runs the SWAR
+  // kernel it degrades to, so those cases check the degradation instead.
+  const auto [path, kernel, mode] = GetParam();
+  // The parallel paths run on every backend at 1, 2, 3 and 8 threads.
+  std::vector<std::pair<std::string, std::unique_ptr<Executor>>> executors;
+  if (path != DpPath::kBottomUp) {
+    for (const std::string& backend : team_backends()) {
+      for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+        executors.emplace_back(backend + "/t" + std::to_string(threads),
+                               make_executor(backend, threads));
+      }
+    }
+  }
+  DpOptions reference_options;
+  reference_options.kernel = DpKernel::kPerEntryEnum;
+
+  const std::vector<Shape> shapes = crosscheck_shapes();
+  for (std::size_t s = 0; s < shapes.size(); ++s) {
+    const Shape& shape = shapes[s];
+    const RoundedInstance rounded =
+        make_rounded(shape.sizes, shape.counts, shape.target);
+    const StateSpace space(shape.counts, kBig);
     const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-    const DpRun reference = dp_bottom_up(rounded, space, configs);
-    const DpRun unpruned =
-        dp_bottom_up(rounded, space, configs, DpKernel::kGlobalConfigs, {},
-                     DpTableMode::kValuesAndChoices, LevelPruning::kOff);
+    const DpRun reference = dp_bottom_up(rounded, space, configs, reference_options);
 
-    for (const unsigned threads : {1u, 2u, 3u, 8u}) {
-      for (const LevelIteration iteration :
-           {LevelIteration::kWalker, LevelIteration::kIndexed}) {
-        const std::string tail = "/" + level_iteration_name(iteration) + "/t" +
-                                 std::to_string(threads) + " round " +
-                                 std::to_string(round);
-        for (const std::string& backend : team_backends()) {
-          const std::unique_ptr<Executor> executor = make_executor(backend, threads);
-          ParallelDpOptions options;
-          options.executor = executor.get();
-          options.variant = ParallelDpVariant::kBucketed;
-          options.iteration = iteration;
-          obs::Metrics metrics(threads);
-          const DpRun run = [&] {
-            const obs::MetricsScope scope(metrics);
-            return dp_parallel(rounded, space, configs, options);
-          }();
-          const std::string what = "bucketed/" + backend + tail;
-          expect_identical_tables(reference, run, what);
-          EXPECT_EQ(run.stats.entries_computed, space.size()) << what;
-          EXPECT_EQ(run.stats.config_scans + run.stats.configs_pruned,
-                    unpruned.stats.config_scans)
-              << what;
-          if constexpr (obs::kMetricsEnabled) {
-            EXPECT_EQ(metrics.counter_total(obs::Counter::kPoolRegions), 1u) << what;
-          }
-
-          options.table_mode = DpTableMode::kValuesOnly;
-          const DpRun probe = dp_parallel(rounded, space, configs, options);
-          EXPECT_FALSE(probe.table.has_choices()) << what;
-          EXPECT_EQ(probe.machines_needed, reference.machines_needed) << what;
-          for (std::size_t i = 0; i < space.size(); ++i) {
-            ASSERT_EQ(probe.table.value(i), reference.table.value(i))
-                << what << " values-only entry " << i;
-          }
+    const auto check = [&](const DpRun& run, const std::string& what) {
+      EXPECT_EQ(run.table.has_choices(), mode == DpTableMode::kValuesAndChoices)
+          << what;
+      expect_identical_tables(reference, run, what);
+      EXPECT_EQ(run.stats.entries_computed, space.size()) << what;
+      EXPECT_EQ(run.stats.kernel, resolve_dp_kernel(kernel)) << what;
+      // Scan conservation: each non-origin entry scans or prunes every config.
+      EXPECT_EQ(run.stats.config_scans + run.stats.configs_pruned,
+                (space.size() - 1) * configs.count())
+          << what;
+    };
+    const std::string tag = " shape " + std::to_string(s);
+    if (path == DpPath::kBottomUp) {
+      DpOptions options;
+      options.kernel = kernel;
+      options.mode = mode;
+      check(dp_bottom_up(rounded, space, configs, options), "bottom-up" + tag);
+      continue;
+    }
+    for (const auto& [name, executor] : executors) {
+      ParallelDpOptions options;
+      options.executor = executor.get();
+      options.variant = path == DpPath::kTeamSweep ? ParallelDpVariant::kBucketed
+                                                   : ParallelDpVariant::kScanPerLevel;
+      options.kernel = kernel;
+      options.table_mode = mode;
+      obs::Metrics metrics(executor->concurrency());
+      const DpRun run = [&] {
+        const obs::MetricsScope scope(metrics);
+        return dp_parallel(rounded, space, configs, options);
+      }();
+      const std::string what = name + tag;
+      check(run, what);
+      if constexpr (obs::kMetricsEnabled) {
+        if (path == DpPath::kTeamSweep) {
+          // The whole fill is one team episode.
+          EXPECT_EQ(metrics.counter_total(obs::Counter::kPoolRegions), 1u) << what;
         }
       }
     }
   }
 }
+
+std::string crosscheck_name(const ::testing::TestParamInfo<CrossCheckParam>& info) {
+  const auto [path, kernel, mode] = info.param;
+  const char* path_name = path == DpPath::kBottomUp       ? "BottomUp"
+                          : path == DpPath::kScanPerLevel ? "ScanPerLevel"
+                                                          : "TeamSweep";
+  return std::string(path_name) + "_" + dp_kernel_name(kernel) +
+         (mode == DpTableMode::kValuesOnly ? "_values_only" : "_full");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPaths, DpPathCrossCheck,
+    ::testing::Combine(::testing::Values(DpPath::kBottomUp, DpPath::kScanPerLevel,
+                                         DpPath::kTeamSweep),
+                       ::testing::Values(DpKernel::kSwar, DpKernel::kAvx2),
+                       ::testing::Values(DpTableMode::kValuesAndChoices,
+                                         DpTableMode::kValuesOnly)),
+    crosscheck_name);
 
 /// pool.regions of one PtasSolver solve, and the solve's probe trace.
 std::pair<std::uint64_t, PtasResult> solve_counting_regions(
@@ -319,189 +333,25 @@ TEST(DpCrossCheck, PtasSolverFillsInlineBelowTheCutoffAndInOneTeamAbove) {
   }
 }
 
-TEST(DpCrossCheck, PruningAndTableModesAgreeAcrossKernelsAndVariants) {
-  // The level-prefix bound, the values-only probe mode, and the walker
-  // iteration are pure optimisations: every combination must reproduce the
-  // unpruned full-table reference — byte for byte where choices exist, value
-  // for value everywhere — while only the scan accounting changes.
-  Xoshiro256StarStar rng(0xFACADE);
-  ThreadPoolExecutor executor(4);
-  for (int round = 0; round < 6; ++round) {
-    const Time target = uniform_int(rng, 25, 60);
-    const int dims = static_cast<int>(uniform_int(rng, 1, 3));
-    std::vector<Time> sizes;
-    std::vector<int> counts;
-    for (int d = 0; d < dims; ++d) {
-      sizes.push_back(uniform_int(rng, target / 4 + 1, target));
-      counts.push_back(static_cast<int>(uniform_int(rng, 1, 5)));
-    }
-    const RoundedInstance rounded = make_rounded(sizes, counts, target);
-    const StateSpace space(counts, kBig);
-    const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-    const std::string tag = " round " + std::to_string(round);
-
-    // Unpruned reference: the pre-optimisation kernel's exact behaviour.
-    const DpRun unpruned =
-        dp_bottom_up(rounded, space, configs, DpKernel::kGlobalConfigs, {},
-                     DpTableMode::kValuesAndChoices, LevelPruning::kOff);
-    EXPECT_EQ(unpruned.stats.configs_pruned, 0u);
-    EXPECT_EQ(unpruned.stats.config_scans,
-              (space.size() - 1) * configs.count());
-
-    // Level-pruned vs unpruned: byte-identical, strictly fewer-or-equal
-    // scans, and exact scan/prune conservation.
-    const DpRun pruned = dp_bottom_up(rounded, space, configs);
-    expect_identical_tables(unpruned, pruned, "pruned" + tag);
-    EXPECT_LE(pruned.stats.config_scans, unpruned.stats.config_scans);
-    EXPECT_EQ(pruned.stats.config_scans + pruned.stats.configs_pruned,
-              unpruned.stats.config_scans);
-
-    // The paper-faithful per-entry enumeration kernel agrees too (its
-    // canonical argmin falls out of the lexicographic enumeration order).
-    const DpRun enumerated = dp_bottom_up(rounded, space, configs,
-                                          DpKernel::kPerEntryEnum);
-    expect_identical_tables(unpruned, enumerated, "per-entry-enum" + tag);
-
-    // Values-only mode: same values and OPT(N), no choice array.
-    const DpRun values_only =
-        dp_bottom_up(rounded, space, configs, DpKernel::kGlobalConfigs, {},
-                     DpTableMode::kValuesOnly);
-    EXPECT_FALSE(values_only.table.has_choices());
-    EXPECT_EQ(values_only.machines_needed, unpruned.machines_needed);
-    for (std::size_t i = 0; i < space.size(); ++i) {
-      ASSERT_EQ(values_only.table.value(i), unpruned.table.value(i))
-          << "values-only entry " << i << tag;
-    }
-
-    // Parallel values-only probes (the bisection fast path) across both
-    // iteration modes: value-identical, conservation holds per run.
-    for (const LevelIteration iteration :
-         {LevelIteration::kWalker, LevelIteration::kIndexed}) {
-      ParallelDpOptions options;
-      options.executor = &executor;
-      options.variant = ParallelDpVariant::kBucketed;
-      options.iteration = iteration;
-      options.table_mode = DpTableMode::kValuesOnly;
-      const DpRun run = dp_parallel(rounded, space, configs, options);
-      const std::string what =
-          "bucketed/" + level_iteration_name(iteration) + " values-only" + tag;
-      EXPECT_FALSE(run.table.has_choices()) << what;
-      EXPECT_EQ(run.machines_needed, unpruned.machines_needed) << what;
-      for (std::size_t i = 0; i < space.size(); ++i) {
-        ASSERT_EQ(run.table.value(i), unpruned.table.value(i))
-            << what << " entry " << i;
-      }
-      EXPECT_EQ(run.stats.config_scans + run.stats.configs_pruned,
-                unpruned.stats.config_scans)
-          << what;
-      EXPECT_LE(run.stats.config_scans, unpruned.stats.config_scans) << what;
-    }
-  }
-}
-
-TEST(DpCrossCheck, AllKernelsMatchAcrossEnginesIterationAndTableModes) {
-  // The kernel axis of the determinism matrix: forcing every fits-test
-  // kernel (auto, scalar, SWAR, AVX2, AVX-512 — unsupported vector kernels
-  // degrade down the chain, which is itself part of the contract) under
-  // every engine x iteration x table-mode combination must reproduce the
-  // sequential bottom-up reference byte for byte.
-  constexpr DpKernel kKernels[] = {DpKernel::kGlobalConfigs, DpKernel::kScalar,
-                                   DpKernel::kSwar, DpKernel::kAvx2,
-                                   DpKernel::kAvx512};
-  Xoshiro256StarStar rng(0x51D3);
-  WorkStealingExecutor executor(4);
-  for (int round = 0; round < 2; ++round) {
-    const Time target = uniform_int(rng, 25, 60);
-    const int dims = static_cast<int>(uniform_int(rng, 2, 3));
-    std::vector<Time> sizes;
-    std::vector<int> counts;
-    for (int d = 0; d < dims; ++d) {
-      sizes.push_back(uniform_int(rng, target / 4 + 1, target));
-      counts.push_back(static_cast<int>(uniform_int(rng, 2, 6)));
-    }
-    const RoundedInstance rounded = make_rounded(sizes, counts, target);
-    const StateSpace space(counts, kBig);
-    const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-    const DpRun reference = dp_bottom_up(rounded, space, configs);
-
-    for (const DpKernel kernel : kKernels) {
-      const std::string kname = dp_kernel_name(kernel);
-
-      // Sequential engines.
-      DpOptions seq;
-      seq.kernel = kernel;
-      const DpRun bottom_up = dp_bottom_up(rounded, space, configs, seq);
-      expect_identical_tables(reference, bottom_up,
-                              "bottom-up/" + kname + " round " +
-                                  std::to_string(round));
-      const DpRun top_down = dp_top_down(rounded, space, configs, seq);
-      EXPECT_EQ(top_down.machines_needed, reference.machines_needed)
-          << "top-down/" << kname;
-      for (std::size_t i = 0; i < space.size(); ++i) {
-        if (top_down.table.value(i) == DpTable::kUnset) continue;
-        ASSERT_EQ(top_down.table.value(i), reference.table.value(i))
-            << "top-down/" << kname << " entry " << i;
-      }
-
-      // Parallel engines: variant x iteration x table mode.
-      for (const ParallelDpVariant variant :
-           {ParallelDpVariant::kScanPerLevel, ParallelDpVariant::kBucketed}) {
-        for (const LevelIteration iteration :
-             {LevelIteration::kWalker, LevelIteration::kIndexed}) {
-          for (const DpTableMode mode :
-               {DpTableMode::kValuesAndChoices, DpTableMode::kValuesOnly}) {
-            ParallelDpOptions options;
-            options.executor = &executor;
-            options.variant = variant;
-            options.kernel = kernel;
-            options.iteration = iteration;
-            options.table_mode = mode;
-            const DpRun run = dp_parallel(rounded, space, configs, options);
-            const std::string what =
-                parallel_dp_variant_name(variant) + "/" +
-                level_iteration_name(iteration) + "/" + kname +
-                (mode == DpTableMode::kValuesOnly ? "/values-only" : "") +
-                " round " + std::to_string(round);
-            if (mode == DpTableMode::kValuesAndChoices) {
-              expect_identical_tables(reference, run, what);
-            } else {
-              EXPECT_FALSE(run.table.has_choices()) << what;
-              EXPECT_EQ(run.machines_needed, reference.machines_needed)
-                  << what;
-              for (std::size_t i = 0; i < space.size(); ++i) {
-                ASSERT_EQ(run.table.value(i), reference.table.value(i))
-                    << what << " entry " << i;
-              }
-            }
-            EXPECT_EQ(run.stats.entries_computed, space.size()) << what;
-            EXPECT_EQ(run.stats.kernel, resolve_dp_kernel(kernel)) << what;
-          }
-        }
-      }
-    }
-  }
-}
-
 TEST(DpCrossCheck, MetricsEntryTotalsAgreeAcrossVariantsAndSchedules) {
   if constexpr (!obs::kMetricsEnabled) GTEST_SKIP() << "PCMAX_METRICS is OFF";
-  // Same matrix, observed through the metrics layer: each run's per-worker
-  // entry totals must sum to sigma no matter how the work was split.
+  // The parallel paths observed through the metrics layer, on every
+  // backend: each run's per-worker entry totals must sum to sigma whether
+  // the entries were dealt round-robin (scan-per-level) or in blocks (team
+  // sweep), the schedule each run records.
   const RoundedInstance rounded = make_rounded({8, 12, 19}, {3, 3, 2}, 38);
   const StateSpace space(std::vector<int>{3, 3, 2}, kBig);
   const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-  ThreadPoolExecutor executor(4);
   obs::Metrics metrics(4);
   const obs::MetricsScope scope(metrics);
   std::size_t expected_runs = 0;
-  for (const ParallelDpVariant variant :
-       {ParallelDpVariant::kScanPerLevel, ParallelDpVariant::kBucketed}) {
-    for (const LoopSchedule schedule :
-         {LoopSchedule::kStatic, LoopSchedule::kRoundRobin,
-          LoopSchedule::kDynamic}) {
+  for (const std::string& backend : team_backends()) {
+    const std::unique_ptr<Executor> executor = make_executor(backend, 4);
+    for (const ParallelDpVariant variant :
+         {ParallelDpVariant::kScanPerLevel, ParallelDpVariant::kBucketed}) {
       ParallelDpOptions options;
-      options.executor = &executor;
+      options.executor = executor.get();
       options.variant = variant;
-      options.schedule = schedule;
       dp_parallel(rounded, space, configs, options);
       ++expected_runs;
     }

@@ -104,7 +104,6 @@ TEST(PaperExample, ParallelSweepReproducesTableOnFourProcessors) {
   ParallelDpOptions options;
   options.executor = &executor;
   options.variant = ParallelDpVariant::kScanPerLevel;  // Algorithm 3 verbatim
-  options.schedule = LoopSchedule::kRoundRobin;        // paper's construct
   const DpRun run = dp_parallel(rounded, space, configs, options);
 
   const std::int32_t expected[12] = {0, 1, 1, 2, 1, 1, 1, 2, 1, 1, 2, 2};

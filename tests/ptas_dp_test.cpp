@@ -1,10 +1,15 @@
-// Equivalence and correctness tests for every DP realisation: bottom-up,
-// top-down, and the two parallel variants across thread counts, loop
-// schedules and pool-backed executors. These pin the paper's central claim — Algorithm 3 computes
-// exactly the table of Algorithm 2.
+// Correctness tests of the DP: bottom-up on hand-checked shapes, both
+// parallel variants against it on executors shared with other loops, the
+// level array and executor requirement of the parallel variants, the
+// per-entry enumeration kernel and the scan accounting. The byte-equality
+// matrix of every parallel path against the per-entry reference lives in
+// ptas_dp_crosscheck_test.cpp.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "algo/ptas/config_enum.hpp"
 #include "algo/ptas/dp_parallel.hpp"
@@ -86,26 +91,11 @@ TEST(DpBottomUp, MatchesFirstFitReasoningOnMixedSizes) {
   EXPECT_EQ(dp_bottom_up(f.rounded, f.space, f.configs).machines_needed, 3);
 }
 
-TEST(DpTopDown, MatchesBottomUpValuesOnReachableStates) {
-  DpFixture f({6, 11}, {2, 3}, 30);
-  const DpRun bottom = dp_bottom_up(f.rounded, f.space, f.configs);
-  const DpRun top = dp_top_down(f.rounded, f.space, f.configs);
-  EXPECT_EQ(top.machines_needed, bottom.machines_needed);
-  for (std::size_t i = 0; i < f.space.size(); ++i) {
-    if (top.table.value(i) == DpTable::kUnset) continue;  // unreachable
-    EXPECT_EQ(top.table.value(i), bottom.table.value(i)) << "entry " << i;
-  }
-}
-
-TEST(DpTopDown, ComputesNoMoreEntriesThanBottomUp) {
-  DpFixture f({9, 13, 17}, {3, 2, 2}, 40);
-  const DpRun bottom = dp_bottom_up(f.rounded, f.space, f.configs);
-  const DpRun top = dp_top_down(f.rounded, f.space, f.configs);
-  EXPECT_EQ(top.machines_needed, bottom.machines_needed);
-  EXPECT_LE(top.stats.entries_computed, bottom.stats.entries_computed);
-  EXPECT_GE(top.stats.entries_computed, 1u);
-}
-
+// The fills share their executor with the solver's other loops (the
+// parallel sort runs dynamic, calibration static), so each case runs a
+// loop of the given schedule on the same executor between two fills: the
+// pool's episodes of another schedule must leave the next fill's table
+// exactly the bottom-up one.
 class ParallelDpEquivalence
     : public ::testing::TestWithParam<std::tuple<ParallelDpVariant, unsigned,
                                                  LoopSchedule>> {};
@@ -120,27 +110,34 @@ TEST_P(ParallelDpEquivalence, ProducesTheExactBottomUpTable) {
       DpFixture({}, {}, 30),
       DpFixture({7, 8, 9, 10}, {2, 1, 2, 1}, 31),
   };
-  for (const DpFixture& f : fixtures) {
-    const DpRun expected = dp_bottom_up(f.rounded, f.space, f.configs);
+  for (const char* backend : {"threadpool", "workstealing"}) {
+    const std::unique_ptr<Executor> executor = make_executor(backend, threads);
+    ParallelDpOptions options;
+    options.variant = variant;
+    options.executor = executor.get();
 
-    for (const char* backend : {"threadpool", "workstealing"}) {
-      ParallelDpOptions options;
-      options.variant = variant;
-      options.schedule = schedule;
-      const std::unique_ptr<Executor> executor = make_executor(backend, threads);
-      options.executor = executor.get();
+    for (const DpFixture& f : fixtures) {
+      const DpRun expected = dp_bottom_up(f.rounded, f.space, f.configs);
+      for (int round = 0; round < 2; ++round) {
+        const DpRun run = dp_parallel(f.rounded, f.space, f.configs, options);
+        EXPECT_EQ(run.machines_needed, expected.machines_needed) << backend;
+        EXPECT_EQ(run.stats.entries_computed, expected.stats.entries_computed)
+            << backend;
+        for (std::size_t i = 0; i < f.space.size(); ++i) {
+          ASSERT_EQ(run.table.value(i), expected.table.value(i))
+              << parallel_dp_variant_name(variant) << " " << backend
+              << " threads=" << threads << " round " << round << " entry " << i;
+          // The argmin tie-break (lowest config id) makes choices
+          // deterministic and identical across all realisations.
+          ASSERT_EQ(run.table.choice(i), expected.table.choice(i));
+        }
 
-      const DpRun run = dp_parallel(f.rounded, f.space, f.configs, options);
-      EXPECT_EQ(run.machines_needed, expected.machines_needed) << backend;
-      EXPECT_EQ(run.stats.entries_computed, expected.stats.entries_computed)
-          << backend;
-      for (std::size_t i = 0; i < f.space.size(); ++i) {
-        ASSERT_EQ(run.table.value(i), expected.table.value(i))
-            << parallel_dp_variant_name(variant) << " " << backend
-            << " threads=" << threads << " entry " << i;
-        // The argmin tie-break (lowest config id) makes choices deterministic
-        // and identical across all realisations.
-        ASSERT_EQ(run.table.choice(i), expected.table.choice(i));
+        std::vector<int> hits(f.space.size() + 7, 0);
+        executor->parallel_for(
+            hits.size(), [&](std::size_t i) { ++hits[i]; }, schedule);
+        for (std::size_t i = 0; i < hits.size(); ++i) {
+          ASSERT_EQ(hits[i], 1) << backend << " index " << i;
+        }
       }
     }
   }
@@ -183,7 +180,6 @@ TEST(DpParallelOpenMP, MatchesBottomUpThroughTheOpenMPBackend) {
     ParallelDpOptions options;
     options.variant = variant;
     options.executor = &executor;
-    options.schedule = LoopSchedule::kRoundRobin;
     const DpRun run = dp_parallel(f.rounded, f.space, f.configs, options);
     EXPECT_EQ(run.machines_needed, expected.machines_needed);
     for (std::size_t i = 0; i < f.space.size(); ++i) {
@@ -206,30 +202,6 @@ TEST(ComputeLevels, MatchesLevelOf) {
   }
 }
 
-TEST(BuildLevelIndex, GroupsEntriesByLevel) {
-  const StateSpace space({2, 3}, kBig);
-  SequentialExecutor executor;
-  const auto levels = compute_levels(space, executor);
-  const LevelIndex index = build_level_index(space, levels);
-
-  ASSERT_EQ(index.level_begin.size(),
-            static_cast<std::size_t>(space.max_level()) + 2);
-  EXPECT_EQ(index.level_begin.front(), 0u);
-  EXPECT_EQ(index.level_begin.back(), space.size());
-
-  std::vector<bool> seen(space.size(), false);
-  for (int level = 0; level <= space.max_level(); ++level) {
-    for (std::size_t slot = index.level_begin[static_cast<std::size_t>(level)];
-         slot < index.level_begin[static_cast<std::size_t>(level) + 1]; ++slot) {
-      const std::size_t entry = index.order[slot];
-      EXPECT_EQ(space.level_of(entry), level);
-      EXPECT_FALSE(seen[entry]);
-      seen[entry] = true;
-    }
-  }
-  for (bool s : seen) EXPECT_TRUE(s);
-}
-
 TEST(DpParallel, ScanAndBucketedRequireAnExecutor) {
   DpFixture f({6}, {1}, 30);
   ParallelDpOptions options;
@@ -248,11 +220,11 @@ TEST(DpKernels, PerEntryEnumerationMatchesGlobalConfigsExactly) {
       DpFixture({20}, {5}, 30),
       DpFixture({7, 8, 9, 10}, {2, 1, 2, 1}, 31),
   };
+  DpOptions per_entry;
+  per_entry.kernel = DpKernel::kPerEntryEnum;
   for (const DpFixture& f : fixtures) {
-    const DpRun global = dp_bottom_up(f.rounded, f.space, f.configs,
-                                      DpKernel::kGlobalConfigs);
-    const DpRun enumerated = dp_bottom_up(f.rounded, f.space, f.configs,
-                                          DpKernel::kPerEntryEnum);
+    const DpRun global = dp_bottom_up(f.rounded, f.space, f.configs);
+    const DpRun enumerated = dp_bottom_up(f.rounded, f.space, f.configs, per_entry);
     EXPECT_EQ(enumerated.machines_needed, global.machines_needed);
     for (std::size_t i = 0; i < f.space.size(); ++i) {
       ASSERT_EQ(enumerated.table.value(i), global.table.value(i)) << i;
@@ -266,8 +238,9 @@ TEST(DpKernels, PerEntryEnumerationMatchesGlobalConfigsExactly) {
 
 TEST(DpKernels, ParallelVariantsSupportPerEntryEnumeration) {
   DpFixture f({9, 13, 17}, {3, 2, 2}, 40);
-  const DpRun expected =
-      dp_bottom_up(f.rounded, f.space, f.configs, DpKernel::kPerEntryEnum);
+  DpOptions per_entry;
+  per_entry.kernel = DpKernel::kPerEntryEnum;
+  const DpRun expected = dp_bottom_up(f.rounded, f.space, f.configs, per_entry);
   for (const ParallelDpVariant variant :
        {ParallelDpVariant::kScanPerLevel, ParallelDpVariant::kBucketed}) {
     for (const char* backend : {"threadpool", "workstealing"}) {
@@ -305,14 +278,6 @@ TEST(DpStats, ConfigScansAreConsistentAcrossVariants) {
   // The level bound actually bites on this instance.
   EXPECT_GT(bottom.stats.configs_pruned, 0u);
   EXPECT_LE(bottom.stats.config_scans,
-            (f.space.size() - 1) * f.configs.count());
-
-  // With pruning disabled the pre-PR accounting holds exactly.
-  const DpRun unpruned =
-      dp_bottom_up(f.rounded, f.space, f.configs, DpKernel::kGlobalConfigs, {},
-                   DpTableMode::kValuesAndChoices, LevelPruning::kOff);
-  EXPECT_EQ(unpruned.stats.configs_pruned, 0u);
-  EXPECT_EQ(unpruned.stats.config_scans,
             (f.space.size() - 1) * f.configs.count());
 }
 

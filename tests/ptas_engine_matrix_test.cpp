@@ -89,13 +89,5 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(1u, 3u)),
     matrix_name);
 
-// Top-down only supports the global kernel; cover it separately.
-INSTANTIATE_TEST_SUITE_P(
-    TopDown, PtasEngineMatrix,
-    ::testing::Combine(::testing::Values(DpEngine::kTopDown),
-                       ::testing::Values(DpKernel::kGlobalConfigs),
-                       ::testing::Values(0.5, 0.3), ::testing::Values(1u, 3u)),
-    matrix_name);
-
 }  // namespace
 }  // namespace pcmax

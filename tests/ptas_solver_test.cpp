@@ -63,7 +63,6 @@ TEST(PtasSolver, AllEnginesProduceTheSameMakespan) {
     Time reference = -1;
     for (const auto& [engine, engine_executor] :
          {std::pair<DpEngine, Executor*>{DpEngine::kBottomUp, &executor},
-          {DpEngine::kTopDown, &executor},
           {DpEngine::kParallelScan, &executor},
           {DpEngine::kParallelBucketed, &executor},
           {DpEngine::kParallelBucketed, &work_stealing}}) {

@@ -30,25 +30,6 @@ TEST(TableBuffer, FillsAndIsCacheLineAligned) {
   EXPECT_EQ(buffer[3], 42);
 }
 
-TEST(TableBuffer, SmallHugePageRequestDegradesToCacheLine) {
-  // Below one huge page the kHugePage policy must not waste a 2 MiB-aligned
-  // (hence 2 MiB-sized, on most allocators) block on a tiny table.
-  TableBuffer<std::int32_t> buffer(64, 0, TableAlloc::kHugePage);
-  EXPECT_EQ(buffer.alignment(), TableBuffer<std::int32_t>::kCacheLine);
-}
-
-TEST(TableBuffer, LargeHugePageRequestIsHugePageAligned) {
-  constexpr std::size_t kEntries =
-      TableBuffer<std::int32_t>::kHugePageBytes / sizeof(std::int32_t);
-  TableBuffer<std::int32_t> buffer(kEntries, 1, TableAlloc::kHugePage);
-  EXPECT_EQ(buffer.alignment(), TableBuffer<std::int32_t>::kHugePageBytes);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buffer.data()) %
-                TableBuffer<std::int32_t>::kHugePageBytes,
-            0u);
-  EXPECT_EQ(buffer[0], 1);
-  EXPECT_EQ(buffer[kEntries - 1], 1);
-}
-
 TEST(TableBuffer, CopyIsDeepAndKeepsAlignment) {
   TableBuffer<std::int32_t> original(256, 5);
   original[10] = 99;
@@ -81,7 +62,7 @@ TEST(TableBuffer, MoveTransfersOwnership) {
 }
 
 TEST(TableBuffer, ZeroSizeAllocatesNothing) {
-  TableBuffer<std::int32_t> buffer(0, 7, TableAlloc::kHugePage);
+  TableBuffer<std::int32_t> buffer(0, 7);
   EXPECT_TRUE(buffer.empty());
   EXPECT_EQ(buffer.data(), nullptr);
 }

@@ -53,14 +53,15 @@ run_release() {
 }
 
 run_simd() {
-  # Two trees at the extremes of the kernel-dispatch matrix (see
+  # Two trees at the extremes of the kernel dispatch (see
   # docs/performance.md): one compiled with an explicit -mavx2 so the AVX2
   # scan kernel is definitely built, and one with PCMAX_DISABLE_SIMD=ON so
-  # every vector kernel is compiled out and `auto` resolves to SWAR. Both
-  # run the kernel-sensitive tests — the crosscheck matrix asserts every
-  # kernel x engine x iteration x table-mode combination is
-  # byte-identical, so these trees catch miscompiled kernels and broken
-  # degradation chains respectively.
+  # the AVX2 kernel is compiled out and `auto` resolves to SWAR. Both run
+  # the kernel-sensitive tests — the DpPathCrossCheck suite asserts that
+  # every DP path (bottom-up, scan-per-level, team sweep) on SWAR and AVX2,
+  # in both table modes, is byte-identical to the per-entry enumeration
+  # reference, so these trees catch a miscompiled kernel and a broken
+  # degradation to SWAR respectively.
   local simd_tests=(ptas_dp_crosscheck_test ptas_kernel_dispatch_test
                     ptas_config_enum_test ptas_dp_test)
   echo "== SIMD tree (-mavx2): DP kernel tests =="
@@ -86,8 +87,9 @@ run_tsan() {
   echo "== ThreadSanitizer tree: team episodes, 3 repeats =="
   # run_team contract and stress (all backends, nested teams, member
   # exceptions, back-to-back teams with pool churn), the spin-then-block
-  # barrier, and the team DP sweep cross-checks. Their interleavings vary
-  # from run to run, so they repeat.
+  # barrier, and the team DP sweep cross-checks (the TeamSweep_* cases of
+  # DpPathCrossCheck). Their interleavings vary from run to run, so they
+  # repeat.
   ctest --test-dir build-tsan --output-on-failure -L sanitize \
     -R 'Team|Barrier\.' --repeat until-fail:3
   echo "== ThreadSanitizer tree: sharding equivalence + async futures =="

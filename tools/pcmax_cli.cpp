@@ -77,14 +77,10 @@ int cmd_generate(int argc, const char* const* argv) {
 /// solvers are anytime: a wall-clock limit caps their budget so they return
 /// the incumbent rather than throwing.
 SolverBuild build_from_cli(double epsilon, Executor* executor,
-                           double exact_seconds, std::int64_t time_limit_ms,
-                           const std::string& dp_kernel = "auto",
-                           bool dp_huge_pages = false) {
+                           double exact_seconds, std::int64_t time_limit_ms) {
   SolverBuild build;
   build.epsilon = epsilon;
   build.executor = executor;
-  build.dp_kernel = dp_kernel;
-  build.dp_huge_pages = dp_huge_pages;
   build.exact_seconds =
       time_limit_ms > 0
           ? std::min(exact_seconds, static_cast<double>(time_limit_ms) / 1000.0)
@@ -149,12 +145,6 @@ int cmd_solve(int argc, const char* const* argv) {
                  "executor backend for the parallel engines: 'workstealing' "
                  "(per-worker range shards with slice stealing) or "
                  "'threadpool' (fork-join baseline)");
-  cli.add_string("dp-kernel", "auto",
-                 "PTAS DP fits-test kernel: 'auto' (fastest supported), "
-                 "'per-entry-enum', 'scalar', 'swar', 'avx2', or 'avx512' "
-                 "(identical results for all)");
-  cli.add_bool("dp-huge-pages", false,
-               "request transparent huge pages for DP tables >= 2 MiB");
   cli.add_double("exact-seconds", 60.0, "budget for the exact solvers");
   cli.add_bool("schedules", false, "also print the full schedules");
   cli.add_int("limit", 0, "solve only the first N instances (0 = all)");
@@ -190,8 +180,7 @@ int cmd_solve(int argc, const char* const* argv) {
   const std::int64_t time_limit_ms = cli.get_int("time-limit-ms");
   const SolverBuild build =
       build_from_cli(cli.get_double("epsilon"), executor.get(),
-                     cli.get_double("exact-seconds"), time_limit_ms,
-                     cli.get_string("dp-kernel"), cli.get_bool("dp-huge-pages"));
+                     cli.get_double("exact-seconds"), time_limit_ms);
   const std::unique_ptr<Solver> solver =
       make_solver(cli.get_string("solver"), build, on_limit == "fallback");
 
@@ -260,12 +249,6 @@ int cmd_race(int argc, const char* const* argv) {
   cli.add_string("pool", "workstealing",
                  "executor backend shared by the racers: 'workstealing' or "
                  "'threadpool'");
-  cli.add_string("dp-kernel", "auto",
-                 "PTAS DP fits-test kernel shared by the PTAS-family racers: "
-                 "'auto', 'per-entry-enum', 'scalar', 'swar', 'avx2', or "
-                 "'avx512'");
-  cli.add_bool("dp-huge-pages", false,
-               "request transparent huge pages for DP tables >= 2 MiB");
   cli.add_int("concurrent", 0,
               "max concurrently running heavy racers (0 = all at once, "
               "1 = deterministic sequential race)");
@@ -298,9 +281,7 @@ int cmd_race(int argc, const char* const* argv) {
 
   PortfolioOptions options;
   options.build = build_from_cli(cli.get_double("epsilon"), executor.get(),
-                                 cli.get_double("exact-seconds"), time_limit_ms,
-                                 cli.get_string("dp-kernel"),
-                                 cli.get_bool("dp-huge-pages"));
+                                 cli.get_double("exact-seconds"), time_limit_ms);
   options.max_concurrent = static_cast<unsigned>(cli.get_int("concurrent"));
   const std::string racers = cli.get_string("racers");
   for (std::size_t begin = 0; begin < racers.size();) {
