@@ -21,10 +21,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/bounds.hpp"
 #include "core/instance_gen.hpp"
 #include "core/portfolio.hpp"
 #include "core/solver_registry.hpp"
-#include "exact/lower_bounds.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -86,10 +87,12 @@ inline int run_speedup_figure(const std::string& figure, int machines, int jobs,
 
   const std::string metrics_path = cli.get_string("metrics");
   std::optional<obs::Metrics> metrics;
-  std::optional<obs::MetricsScope> metrics_scope;
+  // A unique_ptr, not a std::optional: GCC 12 reads a disengaged optional
+  // scope's pointer as maybe-uninitialized (-Wmaybe-uninitialized).
+  std::unique_ptr<obs::MetricsScope> metrics_scope;
   if (!metrics_path.empty()) {
     metrics.emplace(ThreadPool::hardware_threads());
-    metrics_scope.emplace(*metrics);
+    metrics_scope = std::make_unique<obs::MetricsScope>(*metrics);
   }
 
   const SpeedupResult result = run_speedup_experiment(config, std::cerr);

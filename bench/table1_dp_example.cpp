@@ -3,6 +3,7 @@
 // the full DP-table, the anti-diagonal levels, and the assignment of the
 // level entries to four processors.
 #include <iostream>
+#include <sstream>
 
 #include "algo/ptas/config_enum.hpp"
 #include "algo/ptas/dp_parallel.hpp"
@@ -44,11 +45,14 @@ int main() {
     const int level = space.level_of(i);
     const unsigned processor = static_cast<unsigned>(
         level_cursor[static_cast<std::size_t>(level)]++ % kProcessors);
-    table.add_row({"(" + std::to_string(digits[0]) + "," +
-                       std::to_string(digits[1]) + ")",
-                   std::to_string(i), std::to_string(level),
-                   std::to_string(run.table.value(i)),
-                   "P" + std::to_string(processor)});
+    // Streamed rather than `"(" + std::to_string(...)`, which GCC 12 flags
+    // under -Werror=restrict.
+    std::ostringstream vector;
+    vector << '(' << digits[0] << ',' << digits[1] << ')';
+    std::ostringstream processor_name;
+    processor_name << 'P' << processor;
+    table.add_row({vector.str(), std::to_string(i), std::to_string(level),
+                   std::to_string(run.table.value(i)), processor_name.str()});
   }
   std::cout << table.to_string() << "\n";
 

@@ -27,8 +27,7 @@ Time clamp_upper_bound_to_incumbent(const DpLimits& limits, Time lb, Time ub,
 
 DpAtTarget run_dp_at(const Instance& instance, Time target, int k,
                      const DpBackendFn& dp, const DpLimits& limits) {
-  // One "probe" span covers rounding + config enumeration + the DP itself;
-  // multisection issues these concurrently from its probe threads.
+  // One "probe" span covers rounding + config enumeration + the DP itself.
   const std::uint64_t probe_t0 = obs::monotonic_ns();
   const obs::ScopedTimer probe_timer(obs::Timer::kBisectionProbe);
   if (obs::Metrics* metrics = obs::current()) {
@@ -54,16 +53,23 @@ DpAtTarget run_dp_at(const Instance& instance, Time target, int k,
                     std::move(run)};
 }
 
+SearchBracket paper_search_bracket(const Instance& instance) {
+  return {makespan_lower_bound(instance), makespan_upper_bound(instance)};
+}
+
 BisectionResult bisect_target_makespan(const Instance& instance, int k,
                                        const DpBackendFn& dp,
-                                       const DpLimits& limits) {
+                                       const DpLimits& limits,
+                                       SearchBracket start) {
+  PCMAX_REQUIRE(start.lb <= start.ub, "search bracket is inverted");
   BisectionResult result;
   result.lb0 = makespan_lower_bound(instance);
   result.ub0 = makespan_upper_bound(instance);
 
-  Time lb = result.lb0;
-  Time ub = clamp_upper_bound_to_incumbent(limits, lb, result.ub0,
+  Time lb = start.lb;
+  Time ub = clamp_upper_bound_to_incumbent(limits, lb, start.ub,
                                            &result.incumbent_clamped);
+  result.lb_start = lb;
   result.ub_start = ub;
   while (lb < ub) {
     const Time target = lb + (ub - lb) / 2;

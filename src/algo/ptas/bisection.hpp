@@ -80,17 +80,35 @@ struct BisectionIteration {
 /// Result of the bisection search.
 struct BisectionResult {
   Time t_star = 0;  ///< smallest DP-feasible target found (LB == UB)
-  Time lb0 = 0;     ///< initial lower bound, Eq. (1)
-  Time ub0 = 0;     ///< initial upper bound, Eq. (2)
-  /// Effective initial upper bound: ub0, or the shared incumbent when that
-  /// was tighter (incumbent_clamped == true; "bound-tightening hit").
+  Time lb0 = 0;     ///< Eq. (1) lower bound
+  Time ub0 = 0;     ///< Eq. (2) upper bound
+  /// Lower end of the bracket the search started from: lb0 on the paper's
+  /// bracket, the pigeonhole bound on the PTAS's seeded one.
+  Time lb_start = 0;
+  /// Upper end of the bracket the search started from, after the incumbent
+  /// clamp (incumbent_clamped == true when the shared incumbent was tighter;
+  /// "bound-tightening hit").
   Time ub_start = 0;
   bool incumbent_clamped = false;
   std::vector<BisectionIteration> trace;
 };
 
-/// Runs the bisection loop of Algorithm 1 with the supplied DP backend.
+/// Initial bracket of the target search. Both ends must be sound: lb <= OPT,
+/// so that T* <= OPT as the (1 + 1/k) guarantee needs, and ub the makespan
+/// of an actual schedule or Eq. (2), so that the DP is feasible at ub (see
+/// DpLimits::incumbent for why a schedule's makespan is).
+struct SearchBracket {
+  Time lb = 0;
+  Time ub = 0;
+};
+
+/// The paper's bracket [Eq. 1, Eq. 2] (Alg. 1 Lines 5-6).
+SearchBracket paper_search_bracket(const Instance& instance);
+
+/// Runs the bisection loop of Algorithm 1 with the supplied DP backend over
+/// `start` (its ub clamped to the incumbent board, if any).
 BisectionResult bisect_target_makespan(const Instance& instance, int k,
-                                       const DpBackendFn& dp, const DpLimits& limits);
+                                       const DpBackendFn& dp, const DpLimits& limits,
+                                       SearchBracket start);
 
 }  // namespace pcmax

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
-#include "algo/ptas/multisection.hpp"
+#include "algo/list_scheduling.hpp"
+#include "algo/lpt.hpp"
 #include "algo/ptas/reconstruct.hpp"
+#include "core/bounds.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
@@ -91,11 +94,112 @@ SolveContext PtasSolver::legacy_context(bool* used_legacy_cancel) const {
   return SolveContext::with_token(legacy);
 }
 
+namespace {
+
+/// The LPT schedule and the pigeonhole lower bound, both from one sort.
+struct SeededStart {
+  Schedule lpt;
+  Time lpt_makespan = 0;
+  Time lower_bound = 0;
+};
+
+SeededStart seed_search(const Instance& instance) {
+  std::vector<int> jobs(static_cast<std::size_t>(instance.jobs()));
+  std::iota(jobs.begin(), jobs.end(), 0);
+  const std::vector<int> order = sort_jobs_lpt(instance, jobs);
+  SeededStart seed{Schedule(instance.machines())};
+  list_schedule_onto(instance, order, seed.lpt);  // lpt_onto over every job
+  seed.lpt_makespan = seed.lpt.makespan(instance);
+  seed.lower_bound = improved_lower_bound(instance, order);
+  return seed;
+}
+
+/// Fills result.stats from the search and, when the DP ran, its final run
+/// (nullptr for an LPT-certified solve).
+void record_stats(PtasResult& result, int k, const BisectionResult& bisection,
+                  const DpAtTarget* final_run) {
+  // Aggregate statistics over all probes (including the reconstruction one).
+  double dp_seconds = 0.0;
+  std::uint64_t entries = 0;
+  std::uint64_t scans = 0;
+  std::uint64_t pruned = 0;
+  std::uint64_t simd_blocks = 0;
+  std::uint64_t scalar_fallbacks = 0;
+  std::size_t max_table = 0;
+  for (const BisectionIteration& it : bisection.trace) {
+    dp_seconds += it.dp_seconds;
+    entries += it.entries_computed;
+    scans += it.config_scans;
+    pruned += it.configs_pruned;
+    simd_blocks += it.simd_blocks;
+    scalar_fallbacks += it.scalar_fallbacks;
+    max_table = std::max(max_table, it.table_size);
+  }
+  result.stats["k"] = k;
+  // The last trace entry is the reconstruction probe, not a bisection step;
+  // a solve that LPT certified has no trace at all.
+  result.stats["iterations"] =
+      bisection.trace.empty() ? 0.0 : static_cast<double>(bisection.trace.size() - 1);
+  result.stats["t_star"] = static_cast<double>(bisection.t_star);
+  result.stats["lb0"] = static_cast<double>(bisection.lb0);
+  result.stats["ub0"] = static_cast<double>(bisection.ub0);
+  result.stats["lb_start"] = static_cast<double>(bisection.lb_start);
+  result.stats["ub_start"] = static_cast<double>(bisection.ub_start);
+  result.stats["incumbent_clamped"] = bisection.incumbent_clamped ? 1.0 : 0.0;
+  result.stats["dp_seconds"] = dp_seconds;
+  result.stats["entries_computed"] = static_cast<double>(entries);
+  result.stats["config_scans"] = static_cast<double>(scans);
+  result.stats["configs_pruned"] = static_cast<double>(pruned);
+  result.stats["simd_blocks"] = static_cast<double>(simd_blocks);
+  result.stats["scalar_fallbacks"] = static_cast<double>(scalar_fallbacks);
+  result.stats["max_table_size"] = static_cast<double>(max_table);
+  result.stats["final_long_jobs"] =
+      final_run == nullptr ? 0.0 : static_cast<double>(final_run->rounded.total_long_jobs);
+  result.stats["final_levels"] =
+      final_run == nullptr ? 0.0 : static_cast<double>(final_run->space.max_level() + 1);
+}
+
+}  // namespace
+
 PtasResult PtasSolver::solve_impl(const Instance& instance,
                                   const SolveContext& context) {
   Stopwatch sw;
   const ContextScopes scopes(context);
   const CancellationToken stop = context.effective_token();
+  // A stopped solve throws even when no probe would run.
+  if (stop.valid()) stop.check();
+
+  // The token rides along with the DP budgets, which already reach every
+  // probe site (the bisection and the reconstruction probe). The incumbent
+  // board, when the context carries one, clamps the search's initial upper
+  // bound (read once — see DpLimits::incumbent).
+  DpLimits limits = options_.limits;
+  limits.cancel = stop;
+  if (limits.incumbent == nullptr) limits.incumbent = context.incumbent;
+
+  // The search bracket: the paper's [Eq. 1, Eq. 2], or [pigeonhole bound,
+  // LPT makespan]. Any schedule's makespan is a sound start UB (the DP is
+  // feasible at every T >= OPT), and when the bound already reaches LPT's
+  // makespan, LPT is optimal and no DP runs at all.
+  BisectionResult bisection;
+  SearchBracket start = paper_search_bracket(instance);
+  if (!options_.paper_bracket) {
+    SeededStart seed = seed_search(instance);
+    if (seed.lower_bound >= seed.lpt_makespan) {
+      bisection.lb0 = start.lb;
+      bisection.ub0 = start.ub;
+      bisection.t_star = bisection.lb_start = bisection.ub_start = seed.lpt_makespan;
+      PtasResult result;
+      result.schedule = std::move(seed.lpt);
+      result.makespan = seed.lpt_makespan;
+      result.proven_optimal = true;
+      result.seconds = sw.elapsed_seconds();
+      record_stats(result, k_, bisection, nullptr);
+      result.bisection = std::move(bisection);
+      return result;
+    }
+    start = {seed.lower_bound, seed.lpt_makespan};
+  }
 
   // Search probes only read OPT(N), so they run values-only (halved table
   // memory and write traffic); the final run at T* must keep choices for
@@ -104,26 +208,13 @@ PtasResult PtasSolver::solve_impl(const Instance& instance,
   const DpBackendFn final_backend =
       make_backend(DpTableMode::kValuesAndChoices, stop);
 
-  // The token rides along with the DP budgets, which already reach every
-  // probe site (bisection, multisection, and the reconstruction probe).
-  // The incumbent board, when the context carries one, clamps the search's
-  // initial upper bound (read once — see DpLimits::incumbent).
-  DpLimits limits = options_.limits;
-  limits.cancel = stop;
-  if (limits.incumbent == nullptr) limits.incumbent = context.incumbent;
-
-  // Search for the target makespan: the paper's bisection (Alg. 1
-  // Lines 5-30), or the speculative multisection extension.
-  BisectionResult bisection =
-      options_.speculation <= 1
-          ? bisect_target_makespan(instance, k_, probe_backend, limits)
-          : multisect_target_makespan(instance, k_, probe_backend, limits,
-                                      options_.speculation)
-                .as_bisection();
+  // Search for the target makespan (Alg. 1 Lines 5-30).
+  bisection = bisect_target_makespan(instance, k_, probe_backend, limits, start);
 
   // Re-run the DP at the final target and reconstruct (Lines 26, 31-51).
-  // The final T* equals the last feasible probe, so this probe is feasible
-  // by the bisection invariant (UB is only ever lowered to feasible values).
+  // The final T* equals the last feasible probe, or the bracket's upper end
+  // when no probe was feasible, so this probe is feasible by the bisection
+  // invariant (UB is only ever lowered to feasible values).
   Stopwatch probe_clock;
   const DpAtTarget at =
       run_dp_at(instance, bisection.t_star, k_, final_backend, limits);
@@ -153,41 +244,7 @@ PtasResult PtasSolver::solve_impl(const Instance& instance,
   result.schedule = std::move(schedule);
   result.makespan = result.schedule.makespan(instance);
   result.seconds = sw.elapsed_seconds();
-
-  // Aggregate statistics over all probes (including the reconstruction one).
-  double dp_seconds = 0.0;
-  std::uint64_t entries = 0;
-  std::uint64_t scans = 0;
-  std::uint64_t pruned = 0;
-  std::uint64_t simd_blocks = 0;
-  std::uint64_t scalar_fallbacks = 0;
-  std::size_t max_table = at.space.size();
-  for (const BisectionIteration& it : bisection.trace) {
-    dp_seconds += it.dp_seconds;
-    entries += it.entries_computed;
-    scans += it.config_scans;
-    pruned += it.configs_pruned;
-    simd_blocks += it.simd_blocks;
-    scalar_fallbacks += it.scalar_fallbacks;
-    max_table = std::max(max_table, it.table_size);
-  }
-  result.stats["k"] = k_;
-  // The last trace entry is the reconstruction probe, not a bisection step.
-  result.stats["iterations"] = static_cast<double>(bisection.trace.size() - 1);
-  result.stats["t_star"] = static_cast<double>(bisection.t_star);
-  result.stats["lb0"] = static_cast<double>(bisection.lb0);
-  result.stats["ub0"] = static_cast<double>(bisection.ub0);
-  result.stats["ub_start"] = static_cast<double>(bisection.ub_start);
-  result.stats["incumbent_clamped"] = bisection.incumbent_clamped ? 1.0 : 0.0;
-  result.stats["dp_seconds"] = dp_seconds;
-  result.stats["entries_computed"] = static_cast<double>(entries);
-  result.stats["config_scans"] = static_cast<double>(scans);
-  result.stats["configs_pruned"] = static_cast<double>(pruned);
-  result.stats["simd_blocks"] = static_cast<double>(simd_blocks);
-  result.stats["scalar_fallbacks"] = static_cast<double>(scalar_fallbacks);
-  result.stats["max_table_size"] = static_cast<double>(max_table);
-  result.stats["final_long_jobs"] = static_cast<double>(at.rounded.total_long_jobs);
-  result.stats["final_levels"] = static_cast<double>(at.space.max_level() + 1);
+  record_stats(result, k_, bisection, &at);
 
   // The kernel the runs actually used (post resolve_dp_kernel), for result
   // consumers and the metrics export.
@@ -197,15 +254,8 @@ PtasResult PtasSolver::solve_impl(const Instance& instance,
     metrics->note("dp.kernel", kernel_used);
   }
 
-  if (options_.keep_trace) {
-    result.bisection = std::move(bisection);
-  } else {
-    result.bisection.t_star = bisection.t_star;
-    result.bisection.lb0 = bisection.lb0;
-    result.bisection.ub0 = bisection.ub0;
-    result.bisection.ub_start = bisection.ub_start;
-    result.bisection.incumbent_clamped = bisection.incumbent_clamped;
-  }
+  if (!options_.keep_trace) bisection.trace.clear();
+  result.bisection = std::move(bisection);
   return result;
 }
 

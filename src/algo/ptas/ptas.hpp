@@ -68,12 +68,14 @@ struct PtasOptions {
   DpKernel kernel = DpKernel::kGlobalConfigs;
   /// Resource budgets for each DP probe.
   DpLimits limits;
-  /// Concurrent probes per search round (extension beyond the paper):
-  /// 1 = the paper's sequential bisection; w > 1 = speculative multisection
-  /// probing w targets in parallel, shrinking the search to
-  /// log_{w+1}(UB-LB) rounds. Combine with a sequential DP engine to
-  /// parallelise across probes instead of within them.
-  unsigned speculation = 1;
+  /// Search bracket. false (default): the solve first builds the LPT
+  /// schedule and the pigeonhole lower bound (core/bounds.hpp), returns LPT
+  /// as proven optimal with no DP probe when the bound reaches its makespan,
+  /// and otherwise bisects [pigeonhole bound, LPT makespan]. true: the
+  /// paper's bracket [Eq. 1, Eq. 2] (Alg. 1 Lines 5-6), which the figure
+  /// replays of src/harness/experiment.cpp keep so that their probe traces
+  /// stay the paper's. Either way the incumbent board clamps the upper end.
+  bool paper_bracket = false;
   /// When true, the per-iteration bisection trace is copied into the result
   /// (used by the simulated-multicore harness).
   bool keep_trace = false;

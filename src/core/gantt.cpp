@@ -33,7 +33,12 @@ std::string render_gantt(const Instance& instance, const Schedule& schedule,
           static_cast<int>(static_cast<double>(elapsed + t) * scale + 0.5);
       int block = std::max(1, end_column - printed_columns);
       std::string label;
-      if (options.show_job_ids) label = "j" + std::to_string(job);
+      if (options.show_job_ids) {
+        // Appended rather than `"j" + std::to_string(job)`, which GCC 12
+        // flags under -Werror=restrict.
+        label = 'j';
+        label += std::to_string(job);
+      }
       if (static_cast<int>(label.size()) + 2 <= block) {
         const int pad = block - static_cast<int>(label.size());
         os << std::string(static_cast<std::size_t>(pad / 2), '#') << label

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "algo/lpt.hpp"
-#include "exact/lower_bounds.hpp"
+#include "core/bounds.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"

@@ -38,6 +38,8 @@ SpeedupResult run_speedup_experiment(const SpeedupConfig& config, std::ostream& 
       ptas_options.epsilon = config.epsilon;
       ptas_options.engine = DpEngine::kBottomUp;
       ptas_options.kernel = config.kernel;
+      // The paper's bracket keeps the replayed probe traces the paper's.
+      ptas_options.paper_bracket = true;
       ptas_options.keep_trace = true;
       PtasSolver ptas(ptas_options);
       const PtasResult seq = ptas.solve_with_trace(instance);
@@ -134,6 +136,7 @@ std::vector<RatioRow> run_ratio_experiment(const RatioConfig& config,
       PtasOptions ptas_options;
       ptas_options.epsilon = config.epsilon;
       ptas_options.engine = DpEngine::kBottomUp;
+      ptas_options.paper_bracket = true;  // the paper's ratios, as replayed
       PtasSolver ptas(ptas_options);
       r_ptas.add(static_cast<double>(ptas.solve(instance).makespan) / opt);
       r_lpt.add(static_cast<double>(LptSolver().solve(instance).makespan) / opt);

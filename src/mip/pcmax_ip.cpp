@@ -6,7 +6,6 @@
 
 #include "algo/lpt.hpp"
 #include "core/bounds.hpp"
-#include "exact/lower_bounds.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"

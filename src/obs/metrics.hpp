@@ -60,7 +60,7 @@ enum class Counter : unsigned {
   kDpConfigsPruned,    ///< candidates skipped via the level-prefix bound
   kDpSimdBlocks,       ///< full-width vector blocks processed by AVX kernels
   kDpScalarFallbacks,  ///< entries where a vector kernel degraded to SWAR/scalar
-  kBisectionProbes,    ///< DP probes issued by bisection/multisection
+  kBisectionProbes,    ///< DP probes issued by the bisection
   kLpSolves,           ///< simplex invocations
   kMipNodes,           ///< branch-and-bound nodes expanded
   kResilientSolves,    ///< ResilientSolver::solve calls

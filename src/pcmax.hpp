@@ -26,12 +26,10 @@
 #include "algo/ldm.hpp"
 #include "algo/local_search.hpp"
 #include "algo/multifit.hpp"
-#include "algo/ptas/multisection.hpp"
 #include "algo/ptas/ptas.hpp"
 
 #include "exact/brute_force.hpp"
 #include "exact/exact.hpp"
-#include "exact/lower_bounds.hpp"
 #include "exact/subset_dp.hpp"
 
 #include "mip/pcmax_ip.hpp"

@@ -143,7 +143,8 @@ TEST(ChaosSoak, ServiceSurvivesAStormAcrossEveryRegisteredSite) {
       const SolveResponse response =
           service
               .submit(SolveRequest{generate_instance(
-                  InstanceFamily::kUniform1To100, 4, 20, seed, 0)})
+                  InstanceFamily::kUniform1To100, 4, 20,
+                  static_cast<std::uint64_t>(seed), 0)})
               .get();
       ASSERT_EQ(response.degradation_reason, "none");
     }
@@ -186,7 +187,8 @@ TEST(ChaosSoak, ServiceSurvivesAStormAcrossEveryRegisteredSite) {
         // Duplicate-heavy mix: 8 distinct problems across the whole soak,
         // so coalescing and the cache are constantly in play.
         const Instance instance = generate_instance(
-            InstanceFamily::kUniform1To100, 3, 14, (s + i) % 8, 0);
+            InstanceFamily::kUniform1To100, 3, 14,
+            static_cast<std::uint64_t>((s + i) % 8), 0);
         const SolveResponse response =
             service.submit(SolveRequest{instance}).get();
         ASSERT_FALSE(response.degradation_reason.empty());

@@ -12,8 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "algo/lpt.hpp"
 #include "algo/ptas/dp_parallel.hpp"
 #include "algo/ptas/ptas.hpp"
+#include "core/bounds.hpp"
 #include "core/instance_gen.hpp"
 #include "core/portfolio.hpp"
 #include "core/solve_context.hpp"
@@ -25,9 +27,16 @@
 namespace pcmax {
 namespace {
 
+/// A U(1,100) m=6 n=40 instance whose pigeonhole bound stays below its LPT
+/// makespan, so the PTAS cannot certify LPT and must build DP tables. The
+/// budget tests assert that first, so they cannot pass without a probe.
+Instance must_probe_instance() {
+  return generate_instance(InstanceFamily::kUniform1To100, 6, 40, 2, 0);
+}
+
 TEST(FailureInjection, TableBudgetTripsDuringTheBisection) {
-  const Instance instance =
-      generate_instance(InstanceFamily::kUniform1To100, 6, 40, 1, 0);
+  const Instance instance = must_probe_instance();
+  ASSERT_LT(improved_lower_bound(instance), LptSolver().solve(instance).makespan);
   PtasOptions options;
   options.limits.max_table_entries = 4;  // guaranteed to trip at some probe
   PtasSolver solver(options);
@@ -35,8 +44,8 @@ TEST(FailureInjection, TableBudgetTripsDuringTheBisection) {
 }
 
 TEST(FailureInjection, ConfigBudgetTripsDuringTheBisection) {
-  const Instance instance =
-      generate_instance(InstanceFamily::kUniform1To100, 6, 40, 1, 0);
+  const Instance instance = must_probe_instance();
+  ASSERT_LT(improved_lower_bound(instance), LptSolver().solve(instance).makespan);
   PtasOptions options;
   options.limits.max_configs = 1;
   PtasSolver solver(options);
@@ -47,8 +56,8 @@ TEST(FailureInjection, BudgetErrorsReportLimitAndDemand) {
   // Satellite: every ResourceLimitError message names both the configured
   // limit and the observed demand, in the uniform
   // "<what>: demand [at least] D exceeds limit L" format.
-  const Instance instance =
-      generate_instance(InstanceFamily::kUniform1To100, 6, 40, 1, 0);
+  const Instance instance = must_probe_instance();
+  ASSERT_LT(improved_lower_bound(instance), LptSolver().solve(instance).makespan);
   PtasOptions options;
   options.limits.max_table_entries = 4;
   try {
@@ -59,18 +68,6 @@ TEST(FailureInjection, BudgetErrorsReportLimitAndDemand) {
     EXPECT_NE(message.find("demand"), std::string::npos) << message;
     EXPECT_NE(message.find("exceeds limit 4"), std::string::npos) << message;
   }
-}
-
-TEST(FailureInjection, BudgetTripsInsideSpeculativeProbesToo) {
-  // The exception is raised on a probe thread and must be rethrown on the
-  // caller, with the remaining probe threads joined (no leaks, no hang).
-  const Instance instance =
-      generate_instance(InstanceFamily::kUniform1To100, 6, 40, 1, 0);
-  PtasOptions options;
-  options.speculation = 4;
-  options.limits.max_table_entries = 4;
-  PtasSolver solver(options);
-  EXPECT_THROW((void)solver.solve(instance), ResourceLimitError);
 }
 
 /// An executor that fails a configurable number of calls in.

@@ -171,7 +171,7 @@ TEST(ParallelStress, MetricsRecordingUnderContention) {
 TEST(ParallelStress, PoolConstructionTeardownChurn) {
   // Races in worker startup/shutdown handshakes only show up under churn.
   for (int round = 0; round < 40; ++round) {
-    ThreadPool pool(1 + round % 8);
+    ThreadPool pool(static_cast<unsigned>(1 + round % 8));
     std::atomic<std::uint64_t> total{0};
     pool.run(256, [&](std::size_t begin, std::size_t end, unsigned) {
       total.fetch_add(end - begin, std::memory_order_relaxed);

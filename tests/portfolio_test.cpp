@@ -12,10 +12,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/bounds.hpp"
 #include "core/instance_gen.hpp"
 #include "core/portfolio.hpp"
 #include "core/solver_registry.hpp"
-#include "exact/lower_bounds.hpp"
 #include "parallel/executor.hpp"
 #include "util/deadline.hpp"
 #include "util/error.hpp"

@@ -21,7 +21,6 @@
 #include "core/bounds.hpp"
 #include "core/instance_gen.hpp"
 #include "exact/exact.hpp"
-#include "exact/lower_bounds.hpp"
 #include "exact/subset_dp.hpp"
 #include "sim/event_sim.hpp"
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "algo/lpt.hpp"
 #include "algo/ptas/dp_sequential.hpp"
 #include "algo/ptas/reconstruct.hpp"
 #include "core/bounds.hpp"
@@ -47,7 +48,8 @@ TEST(Bisection, ConvergesWithConsistentTrace) {
   const Instance instance =
       generate_instance(InstanceFamily::kUniform1To100, 3, 12, 5, 0);
   const BisectionResult result =
-      bisect_target_makespan(instance, 4, bottom_up_backend(), {});
+      bisect_target_makespan(instance, 4, bottom_up_backend(), {},
+                             paper_search_bracket(instance));
 
   EXPECT_EQ(result.lb0, makespan_lower_bound(instance));
   EXPECT_EQ(result.ub0, makespan_upper_bound(instance));
@@ -71,11 +73,37 @@ TEST(Bisection, ConvergesWithConsistentTrace) {
   EXPECT_EQ(result.t_star, lb);
 }
 
+TEST(Bisection, StartsFromTheGivenBracket) {
+  const Instance instance =
+      generate_instance(InstanceFamily::kUniform1To100, 3, 12, 5, 0);
+  const Time lb = makespan_lower_bound(instance);
+  const Time ub = LptSolver().solve(instance).makespan;  // a schedule's makespan
+  ASSERT_LT(lb, ub);
+  const BisectionResult result =
+      bisect_target_makespan(instance, 4, bottom_up_backend(), {}, {lb, ub});
+  EXPECT_EQ(result.lb0, lb);
+  EXPECT_EQ(result.ub0, makespan_upper_bound(instance));
+  EXPECT_EQ(result.lb_start, lb);
+  EXPECT_EQ(result.ub_start, ub);
+  ASSERT_FALSE(result.trace.empty());
+  EXPECT_EQ(result.trace.front().target, lb + (ub - lb) / 2);
+  EXPECT_GE(result.t_star, lb);
+  EXPECT_LE(result.t_star, ub);
+}
+
+TEST(Bisection, RejectsAnInvertedBracket) {
+  const Instance instance(2, {5, 4, 3});
+  EXPECT_THROW((void)bisect_target_makespan(instance, 4, bottom_up_backend(), {},
+                                            {10, 9}),
+               InvalidArgumentError);
+}
+
 TEST(Bisection, IterationCountIsLogarithmic) {
   const Instance instance =
       generate_instance(InstanceFamily::kUniform1To10N, 3, 15, 6, 0);
   const BisectionResult result =
-      bisect_target_makespan(instance, 4, bottom_up_backend(), {});
+      bisect_target_makespan(instance, 4, bottom_up_backend(), {},
+                             paper_search_bracket(instance));
   // ceil(log2(UB-LB)) + 1 iterations at most.
   int bound = 1;
   for (Time range = result.ub0 - result.lb0; range > 0; range /= 2) ++bound;
@@ -89,7 +117,8 @@ TEST(Bisection, TStarIsNeverAboveTheOptimum) {
     const Instance instance =
         generate_instance(InstanceFamily::kUniform1To100, 3, 10, 11, index);
     const BisectionResult result =
-        bisect_target_makespan(instance, 4, bottom_up_backend(), {});
+        bisect_target_makespan(instance, 4, bottom_up_backend(), {},
+                               paper_search_bracket(instance));
     EXPECT_LE(result.t_star, brute_force_optimum(instance)) << "#" << index;
   }
 }
@@ -98,7 +127,8 @@ TEST(Bisection, FinalTargetIsFeasibleWhenReprobed) {
   const Instance instance =
       generate_instance(InstanceFamily::kUniform1To10, 4, 20, 13, 0);
   const BisectionResult result =
-      bisect_target_makespan(instance, 4, bottom_up_backend(), {});
+      bisect_target_makespan(instance, 4, bottom_up_backend(), {},
+                             paper_search_bracket(instance));
   const DpAtTarget at =
       run_dp_at(instance, result.t_star, 4, bottom_up_backend(), {});
   EXPECT_LE(at.run.machines_needed, instance.machines());
@@ -108,7 +138,8 @@ TEST(Bisection, TraceRecordsDpShape) {
   const Instance instance =
       generate_instance(InstanceFamily::kUniform1To100, 3, 12, 5, 1);
   const BisectionResult result =
-      bisect_target_makespan(instance, 4, bottom_up_backend(), {});
+      bisect_target_makespan(instance, 4, bottom_up_backend(), {},
+                             paper_search_bracket(instance));
   for (const BisectionIteration& it : result.trace) {
     std::size_t expected_size = 1;
     for (int c : it.counts) expected_size *= static_cast<std::size_t>(c) + 1;
@@ -124,7 +155,8 @@ TEST(Reconstruct, FullScheduleIsValidAndWithinTheGuarantee) {
         generate_instance(InstanceFamily::kUniform1To100, 3, 10, 17, index);
     const int k = 4;
     const BisectionResult result =
-        bisect_target_makespan(instance, k, bottom_up_backend(), {});
+        bisect_target_makespan(instance, k, bottom_up_backend(), {},
+                               paper_search_bracket(instance));
     const DpAtTarget at =
         run_dp_at(instance, result.t_star, k, bottom_up_backend(), {});
     const Schedule schedule = reconstruct_full_schedule(instance, at);
@@ -138,7 +170,8 @@ TEST(Reconstruct, FullScheduleIsValidAndWithinTheGuarantee) {
 TEST(Reconstruct, LongOnlyScheduleCoversExactlyTheLongJobs) {
   const Instance instance(3, {25, 24, 23, 3, 2, 1});
   const BisectionResult result =
-      bisect_target_makespan(instance, 4, bottom_up_backend(), {});
+      bisect_target_makespan(instance, 4, bottom_up_backend(), {},
+                             paper_search_bracket(instance));
   const DpAtTarget at =
       run_dp_at(instance, result.t_star, 4, bottom_up_backend(), {});
   const Schedule long_schedule = reconstruct_long_schedule(instance, at);

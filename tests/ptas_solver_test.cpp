@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "algo/lpt.hpp"
 #include "core/instance_gen.hpp"
+#include "core/solve_context.hpp"
 #include "exact/brute_force.hpp"
+#include "exact/exact.hpp"
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace pcmax {
 namespace {
@@ -198,6 +204,148 @@ TEST(PtasSolver, ParallelEngineMatchesSequentialOnEveryFamily) {
     parallel.schedule.validate(instance);
     EXPECT_EQ(parallel.makespan, sequential.makespan) << family_name(family);
   }
+}
+
+// --- the seeded search: [pigeonhole bound, LPT makespan] ---
+
+struct KnownInstance {
+  Instance instance;
+  Time opt;
+};
+
+/// A planted instance: each of `machines` machines gets `per_machine` jobs
+/// from U(1, hi) summing to the same C, so OPT = C (the Eq. 1 bound).
+KnownInstance planted_instance(int machines, int per_machine, Time hi,
+                               std::uint64_t seed) {
+  Xoshiro256StarStar rng(seed);
+  std::vector<Time> times;
+  std::vector<Time> partial(static_cast<std::size_t>(machines), 0);
+  for (Time& sum : partial) {
+    for (int j = 0; j + 1 < per_machine; ++j) {
+      times.push_back(uniform_int(rng, 1, hi));
+      sum += times.back();
+    }
+  }
+  const Time c = *std::max_element(partial.begin(), partial.end()) +
+                 uniform_int(rng, 1, hi);
+  for (const Time sum : partial) times.push_back(c - sum);
+  std::shuffle(times.begin(), times.end(), rng);
+  return {Instance(machines, std::move(times)), c};
+}
+
+TEST(PtasSolver, SeededBracketIsSoundOnPaperFamilies) {
+  // Small random shapes take OPT from the exact solver; planted shapes, up
+  // to the paper's m = 10, n = 30, know it by construction.
+  std::vector<KnownInstance> cases;
+  for (const InstanceFamily family : all_families()) {
+    for (std::uint64_t index = 0; index < 3; ++index) {
+      Instance instance = generate_instance(family, 3, 10, 19, index);
+      const SolverResult exact = ExactSolver().solve(instance);
+      EXPECT_TRUE(exact.proven_optimal) << family_name(family) << " #" << index;
+      cases.push_back({std::move(instance), exact.makespan});
+    }
+  }
+  for (const Time hi : {10, 30, 100}) {
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+      cases.push_back(planted_instance(3, 3, hi, seed));
+      cases.push_back(planted_instance(10, 3, hi, seed));
+    }
+  }
+
+  WorkStealingExecutor executor(2);
+  int certified = 0;
+  int searched = 0;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto& [instance, opt] = cases[i];
+    PtasOptions options;
+    options.keep_trace = true;
+    PtasSolver solver(options);
+    const PtasResult seq = solver.solve_with_trace(instance);
+    seq.schedule.validate(instance);
+    const BisectionResult& search = seq.bisection;
+    const Time lpt = LptSolver().solve(instance).makespan;
+    EXPECT_GE(search.lb_start, search.lb0) << "case " << i;
+    EXPECT_LE(search.lb_start, opt) << "case " << i;
+    EXPECT_LE(search.t_star, search.ub_start) << "case " << i;
+    EXPECT_LE(search.ub_start, lpt) << "case " << i;
+    EXPECT_LE(seq.makespan * solver.k(), (solver.k() + 1) * opt) << "case " << i;
+    if (seq.proven_optimal) {
+      ++certified;
+      EXPECT_EQ(seq.makespan, opt) << "case " << i;
+      EXPECT_TRUE(search.trace.empty()) << "case " << i;
+    } else {
+      ++searched;
+      EXPECT_FALSE(search.trace.empty()) << "case " << i;
+    }
+
+    options.engine = DpEngine::kParallelBucketed;
+    options.executor = &executor;
+    const SolverResult par = PtasSolver(options).solve(instance);
+    par.schedule.validate(instance);
+    EXPECT_EQ(par.makespan, seq.makespan) << "case " << i;
+    EXPECT_EQ(par.proven_optimal, seq.proven_optimal) << "case " << i;
+  }
+  // Both paths are exercised: LPT-certified solves and DP searches.
+  EXPECT_GT(certified, 0);
+  EXPECT_GT(searched, 0);
+}
+
+TEST(PtasSolver, CertifiesLptWithoutAnyDpProbe) {
+  // 7 jobs of 10 on 3 machines: the pigeonhole bound (three of the 7
+  // longest share a machine) is 30, which is LPT's makespan.
+  const Instance instance(3, std::vector<Time>(7, 10));
+  PtasOptions options;
+  options.limits.max_table_entries = 4;  // any DP table would throw
+  obs::Metrics metrics(1);
+  SolveContext context;
+  context.metrics = &metrics;
+  const PtasResult result = PtasSolver(options).solve_with_trace(instance, context);
+  result.schedule.validate(instance);
+  EXPECT_EQ(result.makespan, 30);
+  EXPECT_TRUE(result.proven_optimal);
+  EXPECT_EQ(metrics.counter_total(obs::Counter::kBisectionProbes), 0U);
+  EXPECT_DOUBLE_EQ(result.stats.at("iterations"), 0.0);
+  EXPECT_DOUBLE_EQ(result.stats.at("max_table_size"), 0.0);
+  EXPECT_EQ(result.bisection.lb_start, 30);
+  EXPECT_EQ(result.bisection.ub_start, 30);
+}
+
+TEST(PtasSolver, PaperBracketKeepsThePaperProbeSequence) {
+  // The paper's bisection over [Eq. 1, Eq. 2] = [252, 356], then the
+  // reconstruction probe at T* = 272: the sequence the search ran before it
+  // was seeded from LPT and the pigeonhole bound.
+  const Instance instance =
+      generate_instance(InstanceFamily::kUniform95To105, 4, 10, 55, 0);
+  PtasOptions options;
+  options.paper_bracket = true;
+  options.keep_trace = true;
+  const PtasResult paper = PtasSolver(options).solve_with_trace(instance);
+  EXPECT_EQ(paper.bisection.lb0, 252);
+  EXPECT_EQ(paper.bisection.ub0, 356);
+  EXPECT_EQ(paper.bisection.lb_start, paper.bisection.lb0);
+  EXPECT_EQ(paper.bisection.ub_start, paper.bisection.ub0);
+  std::vector<Time> targets;
+  std::vector<bool> feasible;
+  for (const BisectionIteration& it : paper.bisection.trace) {
+    targets.push_back(it.target);
+    feasible.push_back(it.feasible);
+  }
+  EXPECT_EQ(targets, (std::vector<Time>{304, 278, 265, 272, 269, 271, 272}));
+  EXPECT_EQ(feasible,
+            (std::vector<bool>{true, true, false, true, false, false, true}));
+  EXPECT_EQ(paper.bisection.t_star, 272);
+  EXPECT_EQ(paper.makespan, 297);
+
+  // The seeded search starts inside the paper's bracket, [pigeonhole bound
+  // 296, LPT 300], and needs fewer probes. Its T* is that bound, not 272:
+  // the rounded DP is feasible below OPT too, but the search never probes
+  // below a sound lower bound.
+  options.paper_bracket = false;
+  const PtasResult seeded = PtasSolver(options).solve_with_trace(instance);
+  EXPECT_EQ(seeded.bisection.lb_start, 296);
+  EXPECT_EQ(seeded.bisection.ub_start, 300);
+  EXPECT_EQ(seeded.bisection.t_star, 296);
+  EXPECT_LT(seeded.bisection.trace.size(), paper.bisection.trace.size());
 }
 
 }  // namespace

@@ -146,7 +146,9 @@ TEST(LevelWalker, WalksEveryLevelInIndexOrder) {
         // Digits must be consistent with the index and sum to the level.
         EXPECT_EQ(space.encode(walker.digits()), index);
         EXPECT_EQ(space.level_of(index), level);
-        if (rank > 0) EXPECT_GT(index, previous);  // strictly increasing
+        if (rank > 0) {
+          EXPECT_GT(index, previous);  // strictly increasing
+        }
         previous = index;
         ++visited;
         const bool more = walker.next();

@@ -116,13 +116,15 @@ class GateThenThrowHandler final : public FaultHandler {
 };
 
 Instance overload_instance(int seed) {
-  return generate_instance(InstanceFamily::kUniform1To100, 3, 12, seed, 0);
+  return generate_instance(InstanceFamily::kUniform1To100, 3, 12,
+                           static_cast<std::uint64_t>(seed), 0);
 }
 
 /// Big enough that the PTAS reliably runs its bisection loop — the gated
 /// coalescing tests park the leader at the "bisection.probe" site.
 Instance ptas_instance(int seed) {
-  return generate_instance(InstanceFamily::kUniform1To100, 5, 30, seed, 0);
+  return generate_instance(InstanceFamily::kUniform1To100, 5, 30,
+                           static_cast<std::uint64_t>(seed), 0);
 }
 
 // One frozen worker, a full queue behind it, then release: each drained
@@ -169,7 +171,9 @@ TEST(ServiceOverload, TieredPressureWalksTheWholeLadder) {
   EXPECT_EQ(responses[3].degradation_reason, "none");
   EXPECT_EQ(responses[4].degradation_reason, "none");
   for (const SolveResponse& response : responses) {
-    if (!response.shed) EXPECT_GT(response.makespan, 0);
+    if (!response.shed) {
+      EXPECT_GT(response.makespan, 0);
+    }
   }
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.shed_overload, 2u);  // shed:queue-full + shed:pressure

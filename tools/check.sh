@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Full verification sweep: a Release tree running the whole test suite, a
+# Release tree building every target with warnings as errors, a
 # ThreadSanitizer tree running the concurrency-heavy tests (ctest label
 # `sanitize`), and a pair of SIMD configuration trees exercising the DP
 # kernel family at both extremes. Usage:
 #
 #   tools/check.sh            # all trees
 #   tools/check.sh release    # Release tree + full suite only
+#   tools/check.sh werror     # Release tree, PCMAX_WERROR=ON, all targets
 #   tools/check.sh tsan       # TSan tree + `ctest -L sanitize` only
 #   tools/check.sh simd       # forced -mavx2 tree + PCMAX_DISABLE_SIMD tree
 #
@@ -25,8 +27,9 @@
 # labels. It also repeats the team-episode tests (Executor::run_team, the
 # spin-then-block Barrier, the team DP sweep) three times.
 #
-# Build trees live in build-check/, build-simd/, build-nosimd/, and
-# build-tsan/ so they never clobber a developer's main build/ directory.
+# Build trees live in build-check/, build-werror/, build-simd/,
+# build-nosimd/, and build-tsan/ so they never clobber a developer's main
+# build/ directory.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -50,6 +53,14 @@ run_release() {
   ctest --test-dir build-check --output-on-failure -L variants
   echo "== Release tree: header self-containment =="
   ctest --test-dir build-check --output-on-failure -L headers
+}
+
+run_werror() {
+  # Release optimisation runs the flow analyses behind -Wrestrict and
+  # -Wmaybe-uninitialized that a debug tree skips, so this tree is Release.
+  echo "== Release tree, warnings as errors: every target =="
+  cmake -B build-werror -S . -DCMAKE_BUILD_TYPE=Release -DPCMAX_WERROR=ON
+  cmake --build build-werror -j "$jobs"
 }
 
 run_simd() {
@@ -101,11 +112,12 @@ run_tsan() {
 }
 
 case "$mode" in
-  all) run_release; run_simd; run_tsan ;;
+  all) run_release; run_werror; run_simd; run_tsan ;;
   release) run_release ;;
+  werror) run_werror ;;
   tsan) run_tsan ;;
   simd) run_simd ;;
-  *) echo "usage: tools/check.sh [all|release|tsan|simd]" >&2; exit 2 ;;
+  *) echo "usage: tools/check.sh [all|release|werror|tsan|simd]" >&2; exit 2 ;;
 esac
 
 echo "check.sh: all requested suites passed"

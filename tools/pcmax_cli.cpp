@@ -186,10 +186,12 @@ int cmd_solve(int argc, const char* const* argv) {
 
   const std::string metrics_path = cli.get_string("metrics");
   std::optional<obs::Metrics> metrics;
-  std::optional<obs::MetricsScope> metrics_scope;
+  // A unique_ptr, not a std::optional: GCC 12 reads a disengaged optional
+  // scope's pointer as maybe-uninitialized (-Wmaybe-uninitialized).
+  std::unique_ptr<obs::MetricsScope> metrics_scope;
   if (!metrics_path.empty()) {
     metrics.emplace(threads);
-    metrics_scope.emplace(*metrics);
+    metrics_scope = std::make_unique<obs::MetricsScope>(*metrics);
   }
 
   TablePrinter table({"#", "m", "n", "LB", "makespan", "UB", "seconds",
@@ -294,10 +296,10 @@ int cmd_race(int argc, const char* const* argv) {
 
   const std::string metrics_path = cli.get_string("metrics");
   std::optional<obs::Metrics> metrics;
-  std::optional<obs::MetricsScope> metrics_scope;
+  std::unique_ptr<obs::MetricsScope> metrics_scope;
   if (!metrics_path.empty()) {
     metrics.emplace(threads);
-    metrics_scope.emplace(*metrics);
+    metrics_scope = std::make_unique<obs::MetricsScope>(*metrics);
   }
 
   TablePrinter table({"#", "m", "n", "LB", "makespan", "winner", "certified",
@@ -460,10 +462,10 @@ int cmd_batch(int argc, const char* const* argv) {
 
   const std::string metrics_path = cli.get_string("metrics");
   std::optional<obs::Metrics> metrics;
-  std::optional<obs::MetricsScope> metrics_scope;
+  std::unique_ptr<obs::MetricsScope> metrics_scope;
   if (!metrics_path.empty()) {
     metrics.emplace(options.workers);
-    metrics_scope.emplace(*metrics);
+    metrics_scope = std::make_unique<obs::MetricsScope>(*metrics);
   }
 
   std::vector<SolveResponse> responses;
