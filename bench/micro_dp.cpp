@@ -126,7 +126,7 @@ void BM_DpParallelBucketed(benchmark::State& state) {
   const RoundedInstance rounded = fixture_rounded();
   const StateSpace space(rounded.class_count, kBig);
   const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-  ThreadPoolExecutor executor(static_cast<unsigned>(state.range(0)));
+  WorkStealingExecutor executor(static_cast<unsigned>(state.range(0)));
   ParallelDpOptions options;
   options.executor = &executor;
   options.variant = ParallelDpVariant::kBucketed;
@@ -140,7 +140,7 @@ void BM_DpParallelScan(benchmark::State& state) {
   const RoundedInstance rounded = fixture_rounded();
   const StateSpace space(rounded.class_count, kBig);
   const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-  ThreadPoolExecutor executor(static_cast<unsigned>(state.range(0)));
+  WorkStealingExecutor executor(static_cast<unsigned>(state.range(0)));
   ParallelDpOptions options;
   options.executor = &executor;
   options.variant = ParallelDpVariant::kScanPerLevel;

@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the parallel runtime: fork-join
-// overhead of the thread pool per schedule, barrier round-trips, and the
-// end-to-end cost of an empty level sweep.
+// overhead of the work-stealing pool per claim size, barrier round-trips,
+// and the inline baseline of the sequential executor.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -8,24 +8,25 @@
 
 #include "parallel/barrier.hpp"
 #include "parallel/executor.hpp"
+#include "parallel/work_stealing.hpp"
 
 namespace {
 
 using namespace pcmax;
 
 void BM_PoolForkJoin(benchmark::State& state) {
-  ThreadPool pool(static_cast<unsigned>(state.range(0)));
+  WorkStealingPool pool(static_cast<unsigned>(state.range(0)));
   for (auto _ : state) {
-    pool.run(1, [](std::size_t, std::size_t, unsigned) {});
+    pool.parallel_for_1d(1, [](std::size_t, std::size_t, unsigned) {});
   }
 }
 BENCHMARK(BM_PoolForkJoin)->Arg(1)->Arg(2)->Arg(4);
 
-void BM_PoolParallelForStatic(benchmark::State& state) {
-  ThreadPool pool(static_cast<unsigned>(state.range(0)));
+void BM_PoolParallelForAutoChunk(benchmark::State& state) {
+  WorkStealingPool pool(static_cast<unsigned>(state.range(0)));
   std::atomic<long> sink{0};
   for (auto _ : state) {
-    pool.run(
+    pool.parallel_for_1d(
         4096,
         [&](std::size_t begin, std::size_t end, unsigned) {
           long local = 0;
@@ -34,28 +35,29 @@ void BM_PoolParallelForStatic(benchmark::State& state) {
           }
           sink.fetch_add(local, std::memory_order_relaxed);
         },
-        LoopSchedule::kStatic);
+        /*chunk=*/0);
   }
   benchmark::DoNotOptimize(sink.load());
 }
-BENCHMARK(BM_PoolParallelForStatic)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_PoolParallelForAutoChunk)->Arg(1)->Arg(2)->Arg(4);
 
-void BM_PoolParallelForRoundRobin(benchmark::State& state) {
-  // The paper's round-robin construct delivers singleton ranges, so this
-  // measures the per-iteration dispatch cost Algorithm 3 pays per entry.
-  ThreadPool pool(static_cast<unsigned>(state.range(0)));
+void BM_PoolParallelForSingletons(benchmark::State& state) {
+  // Single-iteration claims deliver singleton ranges, as the paper's
+  // round-robin construct does, so this measures the per-iteration dispatch
+  // cost the scan-per-level replay of Algorithm 3 pays per entry.
+  WorkStealingPool pool(static_cast<unsigned>(state.range(0)));
   std::atomic<long> sink{0};
   for (auto _ : state) {
-    pool.run(
+    pool.parallel_for_1d(
         4096,
         [&](std::size_t begin, std::size_t, unsigned) {
           sink.fetch_add(static_cast<long>(begin), std::memory_order_relaxed);
         },
-        LoopSchedule::kRoundRobin);
+        /*chunk=*/1);
   }
   benchmark::DoNotOptimize(sink.load());
 }
-BENCHMARK(BM_PoolParallelForRoundRobin)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_PoolParallelForSingletons)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_BarrierSingleParticipant(benchmark::State& state) {
   // Measures the barrier's critical-section overhead (lock + generation
@@ -77,7 +79,7 @@ void BM_SequentialExecutorBaseline(benchmark::State& state) {
         [&](std::size_t begin, std::size_t end, unsigned) {
           for (std::size_t i = begin; i < end; ++i) sink += static_cast<long>(i);
         },
-        LoopSchedule::kStatic, 1, CancellationToken{});
+        /*chunk=*/0, CancellationToken{});
   }
   benchmark::DoNotOptimize(sink);
 }

@@ -16,7 +16,7 @@
 #include "harness/experiment.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_json.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/executor.hpp"
 #include "util/cli.hpp"
 #include "util/table_printer.hpp"
 
@@ -91,7 +91,7 @@ inline int run_speedup_figure(const std::string& figure, int machines, int jobs,
   // scope's pointer as maybe-uninitialized (-Wmaybe-uninitialized).
   std::unique_ptr<obs::MetricsScope> metrics_scope;
   if (!metrics_path.empty()) {
-    metrics.emplace(ThreadPool::hardware_threads());
+    metrics.emplace(hardware_threads());
     metrics_scope = std::make_unique<obs::MetricsScope>(*metrics);
   }
 

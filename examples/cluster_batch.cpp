@@ -43,7 +43,7 @@ int main() {
   std::cout << "optimal finish time: " << opt.makespan << " minutes"
             << (opt.proven_optimal ? " (certified)" : " (best found)") << "\n\n";
 
-  ThreadPoolExecutor executor(ThreadPool::hardware_threads());
+  WorkStealingExecutor executor(hardware_threads());
 
   TablePrinter table({"scheduler", "finish (min)", "vs optimal", "solve time (s)"});
   auto report = [&](const std::string& name, const SolverResult& r) {

@@ -18,7 +18,7 @@ int main() {
             << " UB=" << makespan_upper_bound(instance) << "\n\n";
 
   // --- The paper's parallel approximation algorithm -----------------------
-  ThreadPoolExecutor executor(ThreadPool::hardware_threads());
+  WorkStealingExecutor executor(hardware_threads());
   PtasOptions options;
   options.epsilon = 0.3;                         // (1+eps)-approximation
   options.engine = DpEngine::kParallelBucketed;  // Algorithm 3

@@ -28,7 +28,7 @@ int main() {
             << " nodes; lower bound " << makespan_lower_bound(shot)
             << " minutes\n\n";
 
-  ThreadPoolExecutor executor(ThreadPool::hardware_threads());
+  WorkStealingExecutor executor(hardware_threads());
 
   TablePrinter table({"epsilon", "k", "guarantee", "makespan", "max DP table",
                       "bisection probes", "solve time (s)"});

@@ -11,7 +11,7 @@ int main() {
   const int jobs = 40;
   const std::uint64_t seed = 99;
 
-  ThreadPoolExecutor executor(ThreadPool::hardware_threads());
+  WorkStealingExecutor executor(hardware_threads());
 
   std::cout << "solver face-off: m=" << machines << ", n=" << jobs
             << ", one instance per family (seed " << seed << ")\n\n";

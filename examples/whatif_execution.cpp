@@ -15,7 +15,7 @@ int main() {
       generate_instance(InstanceFamily::kUniform1To100, 6, 30, 2026, 0);
 
   // Plan with the parallel PTAS at eps = 0.3.
-  ThreadPoolExecutor executor(ThreadPool::hardware_threads());
+  WorkStealingExecutor executor(hardware_threads());
   PtasOptions options;
   options.engine = DpEngine::kParallelBucketed;
   options.executor = &executor;

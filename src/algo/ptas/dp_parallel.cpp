@@ -56,7 +56,7 @@ std::vector<std::int32_t> compute_levels(const StateSpace& space, Executor& exec
           }
         }
       },
-      LoopSchedule::kStatic, /*chunk=*/1, cancel);
+      /*chunk=*/0, cancel);
   return levels;
 }
 
@@ -144,9 +144,9 @@ void run_scan_per_level(const RoundedInstance& rounded, const StateSpace& space,
           // Decode lazily on the first index that passes the level filter
           // (paper Line 12), then maintain the digit odometer for the rest
           // of the range — amortised O(1) per scanned index instead of one
-          // mixed-radix decode per processed entry. (Round-robin delivers
-          // singleton ranges, where this degenerates to one decode per
-          // processed entry, never worse.)
+          // mixed-radix decode per processed entry. (Single-iteration
+          // claims deliver singleton ranges, where this degenerates to one
+          // decode per processed entry, never worse.)
           std::vector<int>& digits = scratch[worker];
           bool tracking = false;
           for (std::size_t i = begin; i < end; ++i) {
@@ -170,7 +170,7 @@ void run_scan_per_level(const RoundedInstance& rounded, const StateSpace& space,
             }
           }
         },
-        LoopSchedule::kRoundRobin, /*chunk=*/1, cancel);
+        /*chunk=*/1, cancel);
     recorder.level_end(level,
                        widths.empty() ? 0 : widths[static_cast<std::size_t>(level)],
                        level_t0);

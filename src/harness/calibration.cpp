@@ -7,7 +7,7 @@
 #include "algo/ptas/config_enum.hpp"
 #include "algo/ptas/dp_sequential.hpp"
 #include "parallel/barrier.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/work_stealing.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 #include "util/stopwatch.hpp"
@@ -20,15 +20,14 @@ namespace {
 double median_of(std::vector<double>& samples) { return median(samples); }
 
 double measure_forkjoin(unsigned threads, int rounds) {
-  ThreadPool pool(threads);
-  // Warm-up: first region pays thread wake-up.
-  pool.run(1, [](std::size_t, std::size_t, unsigned) {});
+  WorkStealingPool pool(threads);
+  // Warm-up: first episode pays thread wake-up.
+  pool.parallel_for_1d(1, [](std::size_t, std::size_t, unsigned) {});
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(rounds));
   for (int r = 0; r < rounds; ++r) {
     Stopwatch sw;
-    pool.run(threads, [](std::size_t, std::size_t, unsigned) {},
-             LoopSchedule::kStatic);
+    pool.parallel_for_1d(threads, [](std::size_t, std::size_t, unsigned) {});
     samples.push_back(sw.elapsed_seconds());
   }
   return median_of(samples);

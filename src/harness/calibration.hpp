@@ -6,7 +6,7 @@
 // the host. This module measures both on the actual machine so benches can
 // pass `--barrier-us auto`-style values instead of guessing:
 //
-//  * fork-join cost: median wall time of an empty ThreadPool region;
+//  * fork-join cost: median wall time of an empty work-stealing pool episode;
 //  * barrier cost: median round-trip of a P-participant Barrier cycle,
 //    measured inside an SPMD region. Barrier spins for up to
 //    Barrier::kSpinBudget before it blocks, so this figure includes the

@@ -61,7 +61,7 @@ SpeedupResult run_speedup_experiment(const SpeedupConfig& config, std::ostream& 
       if (config.verify_parallel_engines) {
         // Cross-check: a genuinely threaded run must reproduce the same
         // makespan as the sequential PTAS (paper: identical guarantees).
-        ThreadPoolExecutor executor(2);
+        WorkStealingExecutor executor(2);
         PtasOptions par_options = ptas_options;
         par_options.engine = DpEngine::kParallelBucketed;
         par_options.executor = &executor;

@@ -20,9 +20,8 @@
 // atomic pointer load.
 //
 // Counters are deterministic for deterministic executions: under
-// SequentialExecutor (or any fixed static/round-robin schedule) the same
-// input produces bit-identical counter values, which is what makes them
-// unit-testable (tests/obs_metrics_test.cpp).
+// SequentialExecutor the same input produces bit-identical counter values,
+// which is what makes them unit-testable (tests/obs_metrics_test.cpp).
 #pragma once
 
 #include <array>
@@ -46,10 +45,10 @@ inline constexpr bool kMetricsEnabled = false;
 /// Per-worker event counters. Sites without a natural worker identity
 /// (barrier arrivals, bisection probes, MIP nodes) record into slot 0.
 enum class Counter : unsigned {
-  kPoolRegions,        ///< fork-join regions executed (ThreadPool::run calls)
+  kPoolRegions,        ///< fork-join regions executed (pool episodes)
   kPoolTasks,          ///< range-body invocations
   kPoolIterations,     ///< loop iterations processed
-  kPoolDynamicClaims,  ///< successful kDynamic chunk claims
+  kPoolDynamicClaims,  ///< range slices claimed (own shard or stolen)
   kPoolSteals,         ///< range slices taken from another worker's shard
   kPoolParks,          ///< work-stealing workers blocking for the next episode
   kBarrierWaits,       ///< Barrier::arrive_and_wait calls
@@ -105,7 +104,7 @@ const char* counter_name(Counter counter);
 
 /// Duration accumulators.
 enum class Timer : unsigned {
-  kPoolRegion,      ///< ThreadPool::run wall time (caller side)
+  kPoolRegion,      ///< pool episode wall time (caller side)
   kBarrierWait,     ///< time spent inside Barrier::arrive_and_wait
   kDpRun,           ///< whole DP table fill
   kDpLevel,         ///< one anti-diagonal level sweep

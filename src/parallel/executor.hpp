@@ -6,15 +6,11 @@
 // sweeps every anti-diagonal, meeting at a barrier between levels). The
 // concrete executor decides how (and whether) work runs concurrently:
 //
-//  * SequentialExecutor — inline execution; used by the sequential PTAS and
-//    as the P=1 baseline of all speedup experiments.
-//  * ThreadPoolExecutor — our own persistent pool (src/parallel/thread_pool).
+//  * SequentialExecutor   — inline execution; used by the sequential PTAS
+//    and as the P=1 baseline of all speedup experiments.
 //  * WorkStealingExecutor — the work-stealing pool (src/parallel/
-//    work_stealing): per-worker atomic range shards with slice stealing
-//    instead of a shared claim counter.
-//  * OpenMPExecutor     — optional backend using `#pragma omp`, kept for
-//    comparison with the paper's OpenMP implementation (compiled only when
-//    the toolchain provides OpenMP).
+//    work_stealing): per-worker atomic range shards with slice stealing,
+//    and team episodes.
 #pragma once
 
 #include <cstddef>
@@ -22,12 +18,14 @@
 #include <memory>
 #include <string>
 
-#include "parallel/thread_pool.hpp"
 #include "parallel/work_stealing.hpp"
 
 namespace pcmax {
 
-/// Interface for running data-parallel ranges.
+/// Hardware concurrency clamped to at least 1.
+unsigned hardware_threads();
+
+/// Interface for running data-parallel ranges and teams.
 class Executor {
  public:
   virtual ~Executor() = default;
@@ -35,24 +33,26 @@ class Executor {
   /// Degree of parallelism this executor targets (>= 1).
   [[nodiscard]] virtual unsigned concurrency() const = 0;
 
-  /// Short backend name for reports ("sequential", "threadpool", "openmp").
+  /// Short backend name for reports ("sequential", "workstealing").
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Runs `body(begin, end, worker)` over [0, n), blocking until complete.
-  /// Workers are numbered [0, concurrency()).
+  /// Workers are numbered [0, concurrency()). `chunk` is the claim size of
+  /// the slices the workers take; 0 picks an automatic chunk (about 8
+  /// claims per worker), 1 deals single iterations.
   ///
   /// A valid, cancelled `cancel` token makes the executor stop dispatching
   /// remaining ranges, join cleanly, and rethrow the token's typed error
   /// (DeadlineExceededError / CancelledError). The default-constructed token
-  /// disables the checks. The default argument lives on the base declaration
-  /// only; call through `Executor` when relying on it.
-  virtual void parallel_for_ranges(std::size_t n, const ThreadPool::RangeBody& body,
-                                   LoopSchedule schedule, std::size_t chunk,
+  /// disables the checks. The default arguments live on the base declaration
+  /// only; call through `Executor` when relying on them.
+  virtual void parallel_for_ranges(std::size_t n,
+                                   const WorkStealingPool::RangeBody& body,
+                                   std::size_t chunk = 0,
                                    const CancellationToken& cancel = {}) = 0;
 
-  /// Convenience: runs `fn(i)` for each i in [0, n) with a static schedule.
+  /// Convenience: runs `fn(i)` for each i in [0, n) with the automatic chunk.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                    LoopSchedule schedule = LoopSchedule::kStatic,
                     const CancellationToken& cancel = {});
 
   /// Members run_team starts when called from this thread: concurrency(),
@@ -68,14 +68,10 @@ class Executor {
   /// that was skipped would strand its peers at their next barrier — the
   /// body polls the token itself and must not leave a barrier protocol
   /// half-way. The first exception a member throws is rethrown after all
-  /// members have returned.
-  ///
-  /// The default runs the members as a round-robin parallel_for_ranges of
-  /// team_size() iterations, which meets the contract when the backend
-  /// hands iteration w to its own worker w (a backend of concurrency 1
-  /// always does). The default argument lives on the base declaration only.
-  virtual void run_team(const ThreadPool::TeamBody& body,
-                        const CancellationToken& cancel = {});
+  /// members have returned. The default argument lives on the base
+  /// declaration only.
+  virtual void run_team(const WorkStealingPool::TeamBody& body,
+                        const CancellationToken& cancel = {}) = 0;
 };
 
 /// Inline, single-threaded executor.
@@ -83,40 +79,16 @@ class SequentialExecutor final : public Executor {
  public:
   [[nodiscard]] unsigned concurrency() const override { return 1; }
   [[nodiscard]] std::string name() const override { return "sequential"; }
-  void parallel_for_ranges(std::size_t n, const ThreadPool::RangeBody& body,
-                           LoopSchedule schedule, std::size_t chunk,
+  void parallel_for_ranges(std::size_t n, const WorkStealingPool::RangeBody& body,
+                           std::size_t chunk,
                            const CancellationToken& cancel) override;
   /// A team of one: `body(0)` on the caller, no region.
-  void run_team(const ThreadPool::TeamBody& body,
+  void run_team(const WorkStealingPool::TeamBody& body,
                 const CancellationToken& cancel) override;
 };
 
-/// Executor backed by the library's own persistent thread pool.
-class ThreadPoolExecutor final : public Executor {
- public:
-  /// Creates the executor with its own pool of `num_threads` workers.
-  explicit ThreadPoolExecutor(unsigned num_threads);
-
-  [[nodiscard]] unsigned concurrency() const override { return pool_.size(); }
-  [[nodiscard]] std::string name() const override { return "threadpool"; }
-  void parallel_for_ranges(std::size_t n, const ThreadPool::RangeBody& body,
-                           LoopSchedule schedule, std::size_t chunk,
-                           const CancellationToken& cancel) override;
-  [[nodiscard]] unsigned team_size() const override { return pool_.team_size(); }
-  void run_team(const ThreadPool::TeamBody& body,
-                const CancellationToken& cancel) override {
-    pool_.run_team(body, cancel);
-  }
-
- private:
-  ThreadPool pool_;
-};
-
-/// Executor backed by the work-stealing pool. The schedule maps onto the
-/// claim granularity of the range-split machinery: kStatic picks the
-/// auto-chunk (~8 claims per worker), kRoundRobin claims single iterations,
-/// kDynamic claims `chunk`-sized slices — in every case idle workers steal
-/// remaining slices from loaded peers, which is the point of the backend.
+/// Executor backed by its own work-stealing pool: idle workers steal
+/// remaining slices from loaded peers at every claim size.
 class WorkStealingExecutor final : public Executor {
  public:
   /// Creates the executor with its own pool of `num_threads` workers.
@@ -124,11 +96,13 @@ class WorkStealingExecutor final : public Executor {
 
   [[nodiscard]] unsigned concurrency() const override { return pool_.size(); }
   [[nodiscard]] std::string name() const override { return "workstealing"; }
-  void parallel_for_ranges(std::size_t n, const ThreadPool::RangeBody& body,
-                           LoopSchedule schedule, std::size_t chunk,
-                           const CancellationToken& cancel) override;
+  void parallel_for_ranges(std::size_t n, const WorkStealingPool::RangeBody& body,
+                           std::size_t chunk,
+                           const CancellationToken& cancel) override {
+    pool_.parallel_for_1d(n, body, chunk, cancel);
+  }
   [[nodiscard]] unsigned team_size() const override { return pool_.team_size(); }
-  void run_team(const ThreadPool::TeamBody& body,
+  void run_team(const WorkStealingPool::TeamBody& body,
                 const CancellationToken& cancel) override {
     pool_.run_team(body, cancel);
   }
@@ -137,32 +111,9 @@ class WorkStealingExecutor final : public Executor {
   WorkStealingPool pool_;
 };
 
-#if defined(PCMAX_HAVE_OPENMP)
-/// Executor backed by OpenMP worksharing, mirroring the paper's
-/// implementation substrate.
-class OpenMPExecutor final : public Executor {
- public:
-  explicit OpenMPExecutor(unsigned num_threads);
-
-  [[nodiscard]] unsigned concurrency() const override { return num_threads_; }
-  [[nodiscard]] std::string name() const override { return "openmp"; }
-  void parallel_for_ranges(std::size_t n, const ThreadPool::RangeBody& body,
-                           LoopSchedule schedule, std::size_t chunk,
-                           const CancellationToken& cancel) override;
-  /// 1 inside an active OpenMP parallel region (nested teams run inline).
-  [[nodiscard]] unsigned team_size() const override;
-  /// One `omp parallel` region of team_size() threads.
-  void run_team(const ThreadPool::TeamBody& body,
-                const CancellationToken& cancel) override;
-
- private:
-  unsigned num_threads_;
-};
-#endif  // PCMAX_HAVE_OPENMP
-
-/// Creates an executor by backend name: "sequential", "threadpool",
-/// "workstealing", or "openmp" (if compiled in). Throws InvalidArgumentError
-/// for unknown names or an unavailable backend.
+/// Creates an executor by backend name: "sequential" (one thread only) or
+/// "workstealing". Throws InvalidArgumentError for any other name, naming
+/// the two.
 std::unique_ptr<Executor> make_executor(const std::string& backend,
                                         unsigned num_threads);
 

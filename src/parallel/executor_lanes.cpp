@@ -4,15 +4,14 @@
 
 namespace pcmax {
 
-ExecutorLanes::ExecutorLanes(unsigned lanes, unsigned lane_width,
-                             const std::string& backend)
+ExecutorLanes::ExecutorLanes(unsigned lanes, unsigned lane_width)
     : lane_width_(lane_width) {
   PCMAX_REQUIRE(lanes >= 1, "need at least one executor lane");
   PCMAX_REQUIRE(lane_width >= 1, "lane width must be at least 1");
   executors_.reserve(lanes);
   free_.reserve(lanes);
   for (unsigned i = 0; i < lanes; ++i) {
-    executors_.push_back(make_executor(backend, lane_width));
+    executors_.push_back(std::make_unique<WorkStealingExecutor>(lane_width));
     free_.push_back(i);
   }
 }

@@ -1,7 +1,7 @@
 // A shared, capacity-bounded pool of executors ("lanes").
 //
 // The solve service runs many PTAS solves concurrently, but creating a
-// ThreadPool per request would pay thread spawn/join on every solve, and an
+// worker pool per request would pay thread spawn/join on every solve, and an
 // uncapped per-request pool would let one big solve oversubscribe the
 // machine and starve small requests. ExecutorLanes fixes both: a fixed set
 // of persistent executors, each `lane_width` threads wide, shared by all
@@ -10,15 +10,12 @@
 // parallel regions on it, and returns it on scope exit. Per-request
 // parallelism is therefore hard-capped at lane_width, and total solver
 // parallelism at lanes * lane_width, no matter how large a request is.
-//
-// Lanes default to the work-stealing backend; the `backend` parameter keeps
-// the legacy "threadpool" lanes constructible for comparison.
+// Every lane is a WorkStealingExecutor.
 #pragma once
 
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "parallel/executor.hpp"
@@ -28,11 +25,8 @@ namespace pcmax {
 class ExecutorLanes {
  public:
   /// Creates `lanes` persistent executors of `lane_width` threads each
-  /// (both >= 1). A lane of width 1 degenerates to inline execution.
-  /// `backend` is any make_executor name except "sequential" (lanes must
-  /// accept any width).
-  ExecutorLanes(unsigned lanes, unsigned lane_width,
-                const std::string& backend = "workstealing");
+  /// (both >= 1). A lane of width 1 runs its episodes on the caller alone.
+  ExecutorLanes(unsigned lanes, unsigned lane_width);
 
   ExecutorLanes(const ExecutorLanes&) = delete;
   ExecutorLanes& operator=(const ExecutorLanes&) = delete;

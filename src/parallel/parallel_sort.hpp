@@ -45,7 +45,7 @@ void parallel_stable_sort(std::vector<T>& values, Executor& executor,
                            compare);
         }
       },
-      LoopSchedule::kDynamic, 1);
+      /*chunk=*/1);
 
   // Phase 2: merge neighbouring runs pairwise until one run remains.
   // Stability: the left run always precedes the right run in the original
@@ -71,7 +71,7 @@ void parallel_stable_sort(std::vector<T>& values, Executor& executor,
                       values.begin() + static_cast<std::ptrdiff_t>(lo));
           }
         },
-        LoopSchedule::kDynamic, 1);
+        /*chunk=*/1);
 
     // Collapse the boundary list: keep every second boundary (plus a
     // trailing odd run, which merges in a later round).

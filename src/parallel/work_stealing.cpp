@@ -104,9 +104,9 @@ void WorkStealingPool::worker_loop(unsigned worker) {
 void WorkStealingPool::run_episode(Episode& episode) {
   {
     std::unique_lock lock(mutex_);
-    // Concurrent external callers are serialised, as in ThreadPool::run
-    // (calling from inside a worker body is handled by the nested-inline
-    // paths of the entry points and never reaches here).
+    // Concurrent external callers are serialised (calling from inside a
+    // worker body is handled by the nested-inline paths of the entry points
+    // and never reaches here).
     idle_cv_.wait(lock, [&] { return episode_ == nullptr; });
     episode_ = &episode;
     if (num_threads_ > 1) {

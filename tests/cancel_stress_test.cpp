@@ -54,7 +54,7 @@ TEST(CancelStress, ManyThreadsHammerOneToken) {
 TEST(CancelStress, ConcurrentCancelDuringParallelDpEngines) {
   const Instance instance =
       generate_instance(InstanceFamily::kUniform1To100, 8, 60, 5, 0);
-  ThreadPoolExecutor executor(4);
+  WorkStealingExecutor executor(4);
   WorkStealingExecutor work_stealing(2);
   for (const auto& [engine, engine_executor] :
        {std::pair<DpEngine, Executor*>{DpEngine::kParallelScan, &executor},
@@ -94,7 +94,7 @@ TEST(CancelStress, ConcurrentCancelDuringParallelDpEngines) {
 TEST(CancelStress, DeadlineExpiryRacesTheSolve) {
   const Instance instance =
       generate_instance(InstanceFamily::kUniform1To100, 8, 60, 5, 0);
-  ThreadPoolExecutor executor(4);
+  WorkStealingExecutor executor(4);
   for (int round = 0; round < 6; ++round) {
     PtasOptions options;
     options.engine = DpEngine::kParallelBucketed;

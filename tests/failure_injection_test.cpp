@@ -78,12 +78,18 @@ class FlakyExecutor final : public Executor {
   [[nodiscard]] unsigned concurrency() const override { return 1; }
   [[nodiscard]] std::string name() const override { return "flaky"; }
 
-  void parallel_for_ranges(std::size_t n, const ThreadPool::RangeBody& body,
-                           LoopSchedule, std::size_t,
-                           const CancellationToken& cancel) override {
+  void parallel_for_ranges(std::size_t n, const WorkStealingPool::RangeBody& body,
+                           std::size_t, const CancellationToken& cancel) override {
     if (remaining_-- <= 0) throw std::runtime_error("injected executor failure");
     if (cancel.valid() && cancel.cancel_requested()) cancel.check();
     if (n > 0) body(0, n, 0);
+  }
+
+  void run_team(const WorkStealingPool::TeamBody& body,
+                const CancellationToken& cancel) override {
+    if (remaining_-- <= 0) throw std::runtime_error("injected executor failure");
+    if (cancel.valid() && cancel.cancel_requested()) cancel.check();
+    body(0);
   }
 
  private:
@@ -106,14 +112,14 @@ TEST(FailureInjection, HealthyExecutorAfterFailureStillWorks) {
   // retried on the same executor succeeds.
   const Instance instance =
       generate_instance(InstanceFamily::kUniform1To100, 4, 20, 2, 0);
-  ThreadPoolExecutor executor(2);
+  WorkStealingExecutor executor(2);
   // Inject one failing region directly, then reuse the pool for a solve.
   EXPECT_THROW(executor.parallel_for_ranges(
                    1,
                    [](std::size_t, std::size_t, unsigned) {
                      throw std::runtime_error("boom");
                    },
-                   LoopSchedule::kStatic, 1, CancellationToken{}),
+                   /*chunk=*/0, CancellationToken{}),
                std::runtime_error);
 
   PtasOptions options;
@@ -149,7 +155,7 @@ constexpr double kAboveCutoffEpsilon = 0.2;
 TEST(FaultInjection, CancelAtNthDpLevelAbortsTheSolve) {
   {
     const Instance instance = fault_instance();
-    ThreadPoolExecutor executor(2);
+    WorkStealingExecutor executor(2);
     for (DpEngine engine : {DpEngine::kParallelScan, DpEngine::kParallelBucketed}) {
       CancellationToken token = CancellationToken::make();
       FaultInjector injector("dp.level", /*fire_at=*/2,
@@ -173,23 +179,21 @@ TEST(FaultInjection, CancelAtNthDpLevelAbortsTheSolve) {
     }
   }
   const Instance instance = above_cutoff_instance();
-  for (const char* backend : {"threadpool", "workstealing"}) {
-    const std::unique_ptr<Executor> executor = make_executor(backend, 2);
-    for (DpEngine engine : {DpEngine::kParallelScan, DpEngine::kParallelBucketed}) {
-      CancellationToken token = CancellationToken::make();
-      FaultInjector injector("dp.level", /*fire_at=*/2,
-                             FaultInjector::Action::kCancel, token);
-      FaultScope scope(injector);
-      PtasOptions options;
-      options.epsilon = kAboveCutoffEpsilon;
-      options.engine = engine;
-      options.executor = executor.get();
-      EXPECT_THROW((void)PtasSolver(options).solve(
-                       instance, SolveContext::with_token(token)),
-                   CancelledError)
-          << backend << " engine " << static_cast<int>(engine);
-      EXPECT_TRUE(injector.fired()) << backend << " engine " << static_cast<int>(engine);
-    }
+  WorkStealingExecutor executor(2);
+  for (DpEngine engine : {DpEngine::kParallelScan, DpEngine::kParallelBucketed}) {
+    CancellationToken token = CancellationToken::make();
+    FaultInjector injector("dp.level", /*fire_at=*/2,
+                           FaultInjector::Action::kCancel, token);
+    FaultScope scope(injector);
+    PtasOptions options;
+    options.epsilon = kAboveCutoffEpsilon;
+    options.engine = engine;
+    options.executor = &executor;
+    EXPECT_THROW((void)PtasSolver(options).solve(
+                     instance, SolveContext::with_token(token)),
+                 CancelledError)
+        << "engine " << static_cast<int>(engine);
+    EXPECT_TRUE(injector.fired()) << "engine " << static_cast<int>(engine);
   }
 }
 
@@ -208,7 +212,7 @@ TEST(FaultInjection, CancelAtNthBisectionProbeAbortsTheSolve) {
 
 TEST(FaultInjection, ThrowAtNthExecutorTaskPropagatesAndPoolSurvives) {
   const Instance instance = fault_instance();
-  ThreadPoolExecutor executor(2);
+  WorkStealingExecutor executor(2);
   {
     FaultInjector injector("pool.task", /*fire_at=*/4,
                            FaultInjector::Action::kThrow);
@@ -232,7 +236,7 @@ TEST(FaultInjection, CancelMidDpLeavesThePoolReusable) {
     // fault_instance() fills inline: the injector never fires, the solve
     // completes, and the pool it never used stays usable.
     const Instance instance = fault_instance();
-    ThreadPoolExecutor executor(2);
+    WorkStealingExecutor executor(2);
     {
       CancellationToken token = CancellationToken::make();
       FaultInjector injector("dp.level", /*fire_at=*/3,
@@ -256,27 +260,24 @@ TEST(FaultInjection, CancelMidDpLeavesThePoolReusable) {
   PtasOptions reference;
   reference.epsilon = kAboveCutoffEpsilon;
   const Time expected = PtasSolver(reference).solve(instance).makespan;
-  for (const char* backend : {"threadpool", "workstealing"}) {
-    const std::unique_ptr<Executor> executor = make_executor(backend, 2);
-    PtasOptions options;
-    options.epsilon = kAboveCutoffEpsilon;
-    options.engine = DpEngine::kParallelBucketed;
-    options.executor = executor.get();
-    {
-      CancellationToken token = CancellationToken::make();
-      FaultInjector injector("dp.level", /*fire_at=*/3,
-                             FaultInjector::Action::kCancel, token);
-      FaultScope scope(injector);
-      EXPECT_THROW((void)PtasSolver(options).solve(
-                       instance, SolveContext::with_token(token)),
-                   CancelledError)
-          << backend;
-      EXPECT_TRUE(injector.fired()) << backend;
-    }
-    const SolverResult result = PtasSolver(options).solve(instance);
-    result.schedule.validate(instance);
-    EXPECT_EQ(result.makespan, expected) << backend;
+  WorkStealingExecutor executor(2);
+  PtasOptions options;
+  options.epsilon = kAboveCutoffEpsilon;
+  options.engine = DpEngine::kParallelBucketed;
+  options.executor = &executor;
+  {
+    CancellationToken token = CancellationToken::make();
+    FaultInjector injector("dp.level", /*fire_at=*/3,
+                           FaultInjector::Action::kCancel, token);
+    FaultScope scope(injector);
+    EXPECT_THROW((void)PtasSolver(options).solve(
+                     instance, SolveContext::with_token(token)),
+                 CancelledError);
+    EXPECT_TRUE(injector.fired());
   }
+  const SolverResult result = PtasSolver(options).solve(instance);
+  result.schedule.validate(instance);
+  EXPECT_EQ(result.makespan, expected);
 }
 
 TEST(FaultInjection, CancelAtNthMipNodeReturnsIncumbent) {
@@ -538,7 +539,7 @@ TEST(FaultSiteRegistry, EnumeratesEverySiteTheSubsystemsHit) {
   const Instance instance = fault_instance();
   {
     // Parallel PTAS: bisection.probe, dp.level, pool.task.
-    ThreadPoolExecutor executor(2);
+    WorkStealingExecutor executor(2);
     PtasOptions options;
     options.engine = DpEngine::kParallelScan;
     options.executor = &executor;

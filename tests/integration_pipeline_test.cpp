@@ -24,7 +24,7 @@ TEST(IntegrationPipeline, FullRoundTripAcrossAllSolvers) {
   ASSERT_EQ(loaded, generated);
 
   // 2. Solve each instance with every solver in the library.
-  ThreadPoolExecutor executor(2);
+  WorkStealingExecutor executor(2);
   PtasOptions parallel_options;
   parallel_options.engine = DpEngine::kParallelBucketed;
   parallel_options.executor = &executor;

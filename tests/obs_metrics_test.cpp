@@ -263,15 +263,11 @@ TEST(MetricsDp, PerWorkerEntryTotalsSumToStateSpaceSize) {
   const std::uint64_t sigma = f.space.size();
   for (const unsigned threads : {1u, 4u}) {
     const auto metrics = collect(threads, [&] {
-      ThreadPoolExecutor executor(threads);
-      WorkStealingExecutor work_stealing(threads);
-      for (const auto& [variant, variant_executor] :
-           {std::pair<ParallelDpVariant, Executor*>{
-                ParallelDpVariant::kScanPerLevel, &executor},
-            {ParallelDpVariant::kBucketed, &executor},
-            {ParallelDpVariant::kBucketed, &work_stealing}}) {
+      WorkStealingExecutor executor(threads);
+      for (const ParallelDpVariant variant :
+           {ParallelDpVariant::kScanPerLevel, ParallelDpVariant::kBucketed}) {
         ParallelDpOptions options;
-        options.executor = variant_executor;
+        options.executor = &executor;
         options.variant = variant;
         const DpRun run = dp_parallel(f.rounded, f.space, f.configs, options);
         EXPECT_EQ(run.stats.entries_computed, sigma);
@@ -279,7 +275,7 @@ TEST(MetricsDp, PerWorkerEntryTotalsSumToStateSpaceSize) {
       dp_bottom_up(f.rounded, f.space, f.configs);
     });
     const std::vector<obs::DpRunRecord> runs = metrics->dp_runs();
-    ASSERT_EQ(runs.size(), 4u) << "threads=" << threads;
+    ASSERT_EQ(runs.size(), 3u) << "threads=" << threads;
     for (const obs::DpRunRecord& run : runs) {
       EXPECT_EQ(run.table_size, sigma) << run.variant;
       // The acceptance property: per-worker iteration totals conserve the
@@ -296,7 +292,7 @@ TEST(MetricsDp, PerWorkerEntryTotalsSumToStateSpaceSize) {
       }
     }
     // And the flat counter view agrees with the structured records.
-    EXPECT_EQ(metrics->counter_total(obs::Counter::kDpEntries), 4 * sigma);
+    EXPECT_EQ(metrics->counter_total(obs::Counter::kDpEntries), 3 * sigma);
   }
 }
 
@@ -304,19 +300,19 @@ TEST(MetricsDp, PoolCountersObserveLoopShape) {
   if constexpr (!obs::kMetricsEnabled) GTEST_SKIP() << "PCMAX_METRICS is OFF";
   constexpr std::size_t kIterations = 1000;
   const auto metrics = collect(4, [&] {
-    ThreadPool pool(4);
+    WorkStealingPool pool(4);
     std::atomic<std::uint64_t> touched{0};
-    pool.run(
+    pool.parallel_for_1d(
         kIterations,
         [&](std::size_t begin, std::size_t end, unsigned) {
           touched.fetch_add(end - begin, std::memory_order_relaxed);
         },
-        LoopSchedule::kDynamic, /*chunk=*/16);
+        /*chunk=*/16);
     ASSERT_EQ(touched.load(), kIterations);
   });
   EXPECT_EQ(metrics->counter_total(obs::Counter::kPoolRegions), 1u);
   EXPECT_EQ(metrics->counter_total(obs::Counter::kPoolIterations), kIterations);
-  // Every dynamic claim covers <= chunk iterations.
+  // Every claim covers <= chunk iterations.
   EXPECT_GE(metrics->counter_total(obs::Counter::kPoolDynamicClaims),
             kIterations / 16);
   EXPECT_EQ(metrics->timer(obs::Timer::kPoolRegion).calls, 1u);
@@ -348,7 +344,7 @@ TEST(MetricsJson, ExportRoundTripsAndMatchesSchema) {
   if constexpr (!obs::kMetricsEnabled) GTEST_SKIP() << "PCMAX_METRICS is OFF";
   Fixture f;
   const auto metrics = collect(2, [&] {
-    ThreadPoolExecutor executor(2);
+    WorkStealingExecutor executor(2);
     ParallelDpOptions options;
     options.executor = &executor;
     options.variant = ParallelDpVariant::kBucketed;

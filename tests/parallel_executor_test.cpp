@@ -44,67 +44,36 @@ TEST(SequentialExecutor, PassesFullRangeToBody) {
         EXPECT_EQ(worker, 0u);
         ++calls;
       },
-      LoopSchedule::kStatic, 1, CancellationToken{});
+      /*chunk=*/0, CancellationToken{});
   EXPECT_EQ(calls, 1);
 }
 
-TEST(ThreadPoolExecutor, CoversRangeForAllSchedules) {
-  ThreadPoolExecutor executor(4);
-  EXPECT_EQ(executor.concurrency(), 4u);
-  EXPECT_EQ(executor.name(), "threadpool");
-  for (auto schedule : {LoopSchedule::kStatic, LoopSchedule::kRoundRobin,
-                        LoopSchedule::kDynamic}) {
-    std::vector<std::atomic<int>> visits(333);
-    executor.parallel_for_ranges(
-        visits.size(),
-        [&](std::size_t begin, std::size_t end, unsigned) {
-          for (std::size_t i = begin; i < end; ++i) {
-            visits[i].fetch_add(1, std::memory_order_relaxed);
-          }
-        },
-        schedule, 7, CancellationToken{});
-    for (std::size_t i = 0; i < visits.size(); ++i) {
-      ASSERT_EQ(visits[i].load(), 1) << "schedule broke at " << i;
-    }
-  }
-}
-
-#if defined(PCMAX_HAVE_OPENMP)
-TEST(OpenMPExecutor, CoversRangeForAllSchedules) {
-  OpenMPExecutor executor(4);
-  EXPECT_EQ(executor.concurrency(), 4u);
-  EXPECT_EQ(executor.name(), "openmp");
-  for (auto schedule : {LoopSchedule::kStatic, LoopSchedule::kRoundRobin,
-                        LoopSchedule::kDynamic}) {
-    std::vector<std::atomic<int>> visits(333);
-    executor.parallel_for_ranges(
-        visits.size(),
-        [&](std::size_t begin, std::size_t end, unsigned) {
-          for (std::size_t i = begin; i < end; ++i) {
-            visits[i].fetch_add(1, std::memory_order_relaxed);
-          }
-        },
-        schedule, 7, CancellationToken{});
-    for (std::size_t i = 0; i < visits.size(); ++i) {
-      ASSERT_EQ(visits[i].load(), 1);
-    }
-  }
-}
-#endif
-
 TEST(MakeExecutor, CreatesKnownBackends) {
   EXPECT_EQ(make_executor("sequential", 1)->name(), "sequential");
-  EXPECT_EQ(make_executor("threadpool", 3)->concurrency(), 3u);
-#if defined(PCMAX_HAVE_OPENMP)
-  EXPECT_EQ(make_executor("openmp", 2)->name(), "openmp");
-#endif
+  const std::unique_ptr<Executor> pool = make_executor("workstealing", 3);
+  EXPECT_EQ(pool->name(), "workstealing");
+  EXPECT_EQ(pool->concurrency(), 3u);
 }
 
 TEST(MakeExecutor, RejectsBadArguments) {
-  EXPECT_THROW((void)make_executor("bogus", 1), InvalidArgumentError);
-  EXPECT_THROW((void)make_executor("threadpool", 0), InvalidArgumentError);
+  // Any name but the two backends is rejected, with a message that names
+  // both.
+  for (const char* backend : {"bogus", "threadpool", "openmp", "work-stealing"}) {
+    try {
+      (void)make_executor(backend, 2);
+      ADD_FAILURE() << backend << " was accepted";
+    } catch (const InvalidArgumentError& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(backend), std::string::npos) << message;
+      EXPECT_NE(message.find("'sequential'"), std::string::npos) << message;
+      EXPECT_NE(message.find("'workstealing'"), std::string::npos) << message;
+    }
+  }
+  EXPECT_THROW((void)make_executor("workstealing", 0), InvalidArgumentError);
   EXPECT_THROW((void)make_executor("sequential", 2), InvalidArgumentError);
 }
+
+TEST(HardwareThreads, IsAtLeastOne) { EXPECT_GE(hardware_threads(), 1u); }
 
 TEST(Executor, ParallelSumEquivalenceAcrossBackends) {
   constexpr std::size_t kN = 10'000;
@@ -116,27 +85,18 @@ TEST(Executor, ParallelSumEquivalenceAcrossBackends) {
     return sum.load();
   };
   SequentialExecutor seq;
-  ThreadPoolExecutor pool(4);
-  const long expected = sum_with(seq);
-  EXPECT_EQ(sum_with(pool), expected);
-#if defined(PCMAX_HAVE_OPENMP)
-  OpenMPExecutor omp(4);
-  EXPECT_EQ(sum_with(omp), expected);
-#endif
+  WorkStealingExecutor pool(4);
+  EXPECT_EQ(sum_with(pool), sum_with(seq));
+  EXPECT_EQ(sum_with(seq), static_cast<long>(kN) * (kN - 1) / 2);
 }
 
 // --- run_team contract -----------------------------------------------------
 
-/// Every backend this build has, at `threads` workers ("sequential" only at
-/// one).
+/// Both backends at `threads` workers ("sequential" only at one).
 std::vector<std::unique_ptr<Executor>> team_executors(unsigned threads) {
   std::vector<std::unique_ptr<Executor>> executors;
   if (threads == 1) executors.push_back(make_executor("sequential", 1));
-  executors.push_back(make_executor("threadpool", threads));
   executors.push_back(make_executor("workstealing", threads));
-#if defined(PCMAX_HAVE_OPENMP)
-  executors.push_back(make_executor("openmp", threads));
-#endif
   return executors;
 }
 

@@ -6,7 +6,7 @@
 // the notifier is still inside notify_one() on a freed condition variable.
 // The fix is notify-under-lock everywhere plus destructors that take the
 // mutex (BoundedQueue) or wait for quiescence before tearing down threads
-// (ThreadPool, WorkStealingPool). These tests destroy each primitive at the
+// (WorkStealingPool). These tests destroy each primitive at the
 // EARLIEST protocol-legal moment, thousands of times, with the destruction
 // racing the tail of a peer's push/run — under TSan/ASan (`ctest -L
 // sanitize`) the old notify-after-unlock ordering fails here.
@@ -22,7 +22,6 @@
 #include "parallel/barrier.hpp"
 #include "parallel/bounded_queue.hpp"
 #include "parallel/executor.hpp"
-#include "parallel/thread_pool.hpp"
 #include "parallel/work_stealing.hpp"
 
 namespace pcmax {
@@ -81,31 +80,16 @@ TEST(ShutdownRace, QueueCloseDrainDestroy) {
   }
 }
 
-TEST(ShutdownRace, ThreadPoolDestroyedRightAfterRun) {
-  // run() returns the moment the region's last worker checks out; the
-  // destructor must drain (wait for region_ == nullptr, notify under the
-  // lock) before joining — destroy immediately to race that wind-down.
-  constexpr int kRounds = 300;
-  for (int round = 0; round < kRounds; ++round) {
-    const unsigned threads = 2 + static_cast<unsigned>(round % 3);
-    std::atomic<std::size_t> covered{0};
-    {
-      ThreadPool pool(threads);
-      pool.run(64, [&](std::size_t begin, std::size_t end, unsigned) {
-        covered.fetch_add(end - begin, std::memory_order_relaxed);
-      });
-    }  // destructor races the workers' region wind-down
-    ASSERT_EQ(covered.load(), 64u);
-  }
-}
-
-TEST(ShutdownRace, ThreadPoolDestroyedWithNoRegionEverRun) {
+TEST(ShutdownRace, WorkStealingPoolDestroyedWithNoEpisodeEverRun) {
   for (int round = 0; round < 300; ++round) {
-    ThreadPool pool(4);  // construct + destroy: join before any epoch bump
+    WorkStealingPool pool(4);  // construct + destroy: join before any epoch bump
   }
 }
 
 TEST(ShutdownRace, WorkStealingPoolDestroyedRightAfterEpisode) {
+  // An episode returns the moment its last worker checks out; the
+  // destructor must drain (wait for episode_ == nullptr, notify under the
+  // lock) before joining — destroy immediately to race that wind-down.
   constexpr int kRounds = 300;
   for (int round = 0; round < kRounds; ++round) {
     const unsigned threads = 2 + static_cast<unsigned>(round % 3);
@@ -134,44 +118,40 @@ TEST(ShutdownRace, WorkStealingPoolDestroyedRightAfterEpisode) {
 }
 
 TEST(ShutdownRace, ExecutorsDestroyedRightAfterParallelFor) {
-  for (int round = 0; round < 100; ++round) {
-    for (const char* backend : {"threadpool", "workstealing"}) {
-      std::atomic<std::size_t> covered{0};
-      {
-        const std::unique_ptr<Executor> executor = make_executor(backend, 3);
-        executor->parallel_for_ranges(
-            32,
-            [&](std::size_t begin, std::size_t end, unsigned) {
-              covered.fetch_add(end - begin, std::memory_order_relaxed);
-            },
-            LoopSchedule::kDynamic, /*chunk=*/1);
-      }
-      ASSERT_EQ(covered.load(), 32u) << backend;
+  for (int round = 0; round < 200; ++round) {
+    std::atomic<std::size_t> covered{0};
+    {
+      const std::unique_ptr<Executor> executor = make_executor("workstealing", 3);
+      executor->parallel_for_ranges(
+          32,
+          [&](std::size_t begin, std::size_t end, unsigned) {
+            covered.fetch_add(end - begin, std::memory_order_relaxed);
+          },
+          /*chunk=*/1);
     }
+    ASSERT_EQ(covered.load(), 32u);
   }
 }
 
 TEST(ShutdownRace, BackToBackTeamsThenDestroy) {
   // Team episodes back to back (each ending in a barrier cycle, so members
   // leave the episode together), then the executor destroyed right after the
-  // last one — construct/destroy churn over 1..8 threads on both pools.
-  for (int round = 0; round < 48; ++round) {
+  // last one — construct/destroy churn over 1..8 threads.
+  for (int round = 0; round < 96; ++round) {
     const unsigned threads = 1 + static_cast<unsigned>(round % 8);
-    for (const char* backend : {"threadpool", "workstealing"}) {
-      constexpr int kTeams = 20;
-      std::atomic<std::size_t> members{0};
-      {
-        const std::unique_ptr<Executor> executor = make_executor(backend, threads);
-        Barrier barrier(threads);
-        for (int team = 0; team < kTeams; ++team) {
-          executor->run_team([&](unsigned) {
-            members.fetch_add(1, std::memory_order_relaxed);
-            barrier.arrive_and_wait();
-          });
-        }
-      }  // destructor races the last episode's wind-down
-      ASSERT_EQ(members.load(), std::size_t{kTeams} * threads) << backend;
-    }
+    constexpr int kTeams = 20;
+    std::atomic<std::size_t> members{0};
+    {
+      const std::unique_ptr<Executor> executor = make_executor("workstealing", threads);
+      Barrier barrier(threads);
+      for (int team = 0; team < kTeams; ++team) {
+        executor->run_team([&](unsigned) {
+          members.fetch_add(1, std::memory_order_relaxed);
+          barrier.arrive_and_wait();
+        });
+      }
+    }  // destructor races the last episode's wind-down
+    ASSERT_EQ(members.load(), std::size_t{kTeams} * threads);
   }
 }
 

@@ -21,7 +21,7 @@ std::vector<long> random_values(std::size_t n, std::uint64_t seed,
 
 TEST(ParallelSort, MatchesStdStableSortAcrossSizesAndWorkers) {
   for (const unsigned workers : {1u, 2u, 3u, 4u, 7u}) {
-    ThreadPoolExecutor executor(workers);
+    WorkStealingExecutor executor(workers);
     for (const std::size_t n : {0u, 1u, 2u, 5u, 17u, 100u, 1000u, 4097u}) {
       std::vector<long> values = random_values(n, n + workers);
       std::vector<long> expected = values;
@@ -33,7 +33,7 @@ TEST(ParallelSort, MatchesStdStableSortAcrossSizesAndWorkers) {
 }
 
 TEST(ParallelSort, RespectsCustomComparators) {
-  ThreadPoolExecutor executor(3);
+  WorkStealingExecutor executor(3);
   std::vector<long> values = random_values(500, 9);
   std::vector<long> expected = values;
   std::stable_sort(expected.begin(), expected.end(), std::greater<>());
@@ -58,13 +58,13 @@ TEST(ParallelSort, IsStable) {
   auto by_key = [](const Item& a, const Item& b) { return a.key < b.key; };
   std::stable_sort(expected.begin(), expected.end(), by_key);
 
-  ThreadPoolExecutor executor(4);
+  WorkStealingExecutor executor(4);
   parallel_stable_sort(items, executor, by_key);
   EXPECT_EQ(items, expected);
 }
 
 TEST(ParallelSort, AlreadySortedAndReversedInputs) {
-  ThreadPoolExecutor executor(4);
+  WorkStealingExecutor executor(4);
   std::vector<long> ascending(1000);
   for (std::size_t i = 0; i < ascending.size(); ++i) {
     ascending[i] = static_cast<long>(i);
@@ -79,7 +79,7 @@ TEST(ParallelSort, AlreadySortedAndReversedInputs) {
 }
 
 TEST(ParallelSort, AllEqualElements) {
-  ThreadPoolExecutor executor(3);
+  WorkStealingExecutor executor(3);
   std::vector<long> values(777, 42);
   parallel_stable_sort(values, executor, std::less<>());
   for (long v : values) EXPECT_EQ(v, 42);
@@ -95,7 +95,7 @@ TEST(ParallelSort, WorksWithSequentialExecutor) {
 }
 
 TEST(ParallelSort, SortsStringsByLength) {
-  ThreadPoolExecutor executor(2);
+  WorkStealingExecutor executor(2);
   std::vector<std::string> words{"dddd", "a", "ccc", "bb", "eee", "f"};
   parallel_stable_sort(words, executor,
                        [](const std::string& a, const std::string& b) {

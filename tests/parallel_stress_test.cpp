@@ -1,9 +1,10 @@
-// Concurrency stress tests for ThreadPool, designed to run under
-// ThreadSanitizer (ctest -L sanitize on a PCMAX_SANITIZE=thread build).
-// Each case hammers one contract hard but briefly (<~2s): region
-// serialisation across external submitter threads, iteration conservation
-// under every LoopSchedule, exception propagation from dynamic regions, and
-// metrics recording under contention.
+// Concurrency stress tests for the work-stealing pool's range episodes,
+// designed to run under ThreadSanitizer (ctest -L sanitize on a
+// PCMAX_SANITIZE=thread build). Each case hammers one contract hard but
+// briefly (<~2s): episode serialisation across external submitter threads,
+// iteration conservation at every claim size (0 = automatic, 1 = single
+// iterations, and fixed chunks), exception propagation from chunked
+// episodes, and metrics recording under contention.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,19 +16,22 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/work_stealing.hpp"
 
 namespace pcmax {
 namespace {
 
-constexpr LoopSchedule kAllSchedules[] = {
-    LoopSchedule::kStatic, LoopSchedule::kRoundRobin, LoopSchedule::kDynamic};
+/// The claim sizes a case cycles through: automatic, single iterations, and
+/// the case's own fixed chunk.
+std::size_t claim_size(int index, std::size_t fixed) {
+  return index % 3 == 0 ? 0 : index % 3 == 1 ? 1 : fixed;
+}
 
 TEST(ParallelStress, ExternalSubmittersSerialiseOnOnePool) {
-  // `run` documents that concurrent calls from different external threads
-  // are serialised. Hammer one pool from several submitters at once; every
-  // region must still process each of its iterations exactly once.
-  ThreadPool pool(4);
+  // Concurrent calls from different external threads are serialised.
+  // Hammer one pool from several submitters at once; every episode must
+  // still process each of its iterations exactly once.
+  WorkStealingPool pool(4);
   constexpr int kSubmitters = 6;
   constexpr int kRegionsPerSubmitter = 40;
   constexpr std::size_t kIterations = 512;
@@ -37,15 +41,15 @@ TEST(ParallelStress, ExternalSubmittersSerialiseOnOnePool) {
   submitters.reserve(kSubmitters);
   for (int s = 0; s < kSubmitters; ++s) {
     submitters.emplace_back([&pool, &grand_total, s] {
-      const LoopSchedule schedule = kAllSchedules[s % 3];
+      const std::size_t chunk = claim_size(s, 7);
       for (int r = 0; r < kRegionsPerSubmitter; ++r) {
         std::vector<std::uint8_t> hits(kIterations, 0);
-        pool.run(
+        pool.parallel_for_1d(
             kIterations,
             [&hits](std::size_t begin, std::size_t end, unsigned) {
               for (std::size_t i = begin; i < end; ++i) hits[i] += 1;
             },
-            schedule, /*chunk=*/7);
+            chunk);
         std::uint64_t covered = 0;
         for (const std::uint8_t h : hits) {
           ASSERT_EQ(h, 1) << "iteration processed " << int{h} << " times";
@@ -61,16 +65,16 @@ TEST(ParallelStress, ExternalSubmittersSerialiseOnOnePool) {
 }
 
 TEST(ParallelStress, EverySchedulePartitionsWithoutOverlap) {
-  // For each schedule, per-worker iteration sets must partition [0, n):
+  // For each claim size, per-worker iteration sets must partition [0, n):
   // writing the worker id into a shared array and checking coverage makes
   // any double assignment a visible value clash (and a TSan race).
-  ThreadPool pool(8);
-  for (const LoopSchedule schedule : kAllSchedules) {
+  WorkStealingPool pool(8);
+  for (const std::size_t chunk : {std::size_t{0}, std::size_t{1}, std::size_t{13}}) {
     for (const std::size_t n : {std::size_t{1}, std::size_t{7},
                                 std::size_t{64}, std::size_t{100000}}) {
       std::vector<std::int8_t> owner(n, -1);
       std::vector<std::uint64_t> per_worker(pool.size(), 0);
-      pool.run(
+      pool.parallel_for_1d(
           n,
           [&](std::size_t begin, std::size_t end, unsigned worker) {
             for (std::size_t i = begin; i < end; ++i) {
@@ -78,7 +82,7 @@ TEST(ParallelStress, EverySchedulePartitionsWithoutOverlap) {
             }
             per_worker[worker] += end - begin;
           },
-          schedule, /*chunk=*/13);
+          chunk);
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_GE(owner[i], 0) << "iteration " << i << " never ran";
       }
@@ -87,17 +91,17 @@ TEST(ParallelStress, EverySchedulePartitionsWithoutOverlap) {
       EXPECT_EQ(std::accumulate(per_worker.begin(), per_worker.end(),
                                 std::uint64_t{0}),
                 n)
-          << loop_schedule_name(schedule) << " n=" << n;
+          << "chunk " << chunk << " n=" << n;
     }
   }
 }
 
 TEST(ParallelStress, DynamicExceptionPropagatesAndPoolSurvives) {
-  ThreadPool pool(4);
+  WorkStealingPool pool(4);
   for (int round = 0; round < 25; ++round) {
     std::atomic<std::uint64_t> before_throw{0};
     try {
-      pool.run(
+      pool.parallel_for_1d(
           10000,
           [&](std::size_t begin, std::size_t end, unsigned) {
             for (std::size_t i = begin; i < end; ++i) {
@@ -105,14 +109,14 @@ TEST(ParallelStress, DynamicExceptionPropagatesAndPoolSurvives) {
               before_throw.fetch_add(1, std::memory_order_relaxed);
             }
           },
-          LoopSchedule::kDynamic, /*chunk=*/32);
+          /*chunk=*/32);
       FAIL() << "exception did not propagate (round " << round << ")";
     } catch (const std::runtime_error& error) {
       EXPECT_STREQ(error.what(), "boom");
     }
-    // The pool must remain fully usable after an exceptional region.
+    // The pool must remain fully usable after an exceptional episode.
     std::atomic<std::uint64_t> total{0};
-    pool.run(1000, [&](std::size_t begin, std::size_t end, unsigned) {
+    pool.parallel_for_1d(1000, [&](std::size_t begin, std::size_t end, unsigned) {
       total.fetch_add(end - begin, std::memory_order_relaxed);
     });
     ASSERT_EQ(total.load(), 1000u);
@@ -120,15 +124,15 @@ TEST(ParallelStress, DynamicExceptionPropagatesAndPoolSurvives) {
 }
 
 TEST(ParallelStress, ExceptionsFromMultipleWorkersPickOne) {
-  ThreadPool pool(8);
-  for (const LoopSchedule schedule : kAllSchedules) {
+  WorkStealingPool pool(8);
+  for (const std::size_t chunk : {std::size_t{0}, std::size_t{1}, std::size_t{64}}) {
     try {
-      pool.run(
+      pool.parallel_for_1d(
           8000,
           [](std::size_t, std::size_t, unsigned worker) {
             throw std::runtime_error("worker " + std::to_string(worker));
           },
-          schedule);
+          chunk);
       FAIL() << "exception did not propagate";
     } catch (const std::runtime_error& error) {
       EXPECT_EQ(std::string(error.what()).rfind("worker ", 0), 0u);
@@ -142,18 +146,18 @@ TEST(ParallelStress, MetricsRecordingUnderContention) {
   // conserve totals exactly.
   obs::Metrics metrics(8);
   const obs::MetricsScope scope(metrics);
-  ThreadPool pool(8);
+  WorkStealingPool pool(8);
   constexpr int kRegions = 60;
   constexpr std::size_t kIterations = 4096;
   for (int r = 0; r < kRegions; ++r) {
-    pool.run(
+    pool.parallel_for_1d(
         kIterations,
         [&metrics](std::size_t begin, std::size_t end, unsigned worker) {
           metrics.add(worker, obs::Counter::kDpEntries, end - begin);
           metrics.add_timer(obs::Timer::kDpLevel, 1);
           if (begin == 0) metrics.add_span("stress.first", worker, 1, 2);
         },
-        kAllSchedules[r % 3], /*chunk=*/64);
+        claim_size(r, 64));
   }
   EXPECT_EQ(metrics.counter_total(obs::Counter::kDpEntries),
             std::uint64_t{kRegions} * kIterations);
@@ -171,9 +175,9 @@ TEST(ParallelStress, MetricsRecordingUnderContention) {
 TEST(ParallelStress, PoolConstructionTeardownChurn) {
   // Races in worker startup/shutdown handshakes only show up under churn.
   for (int round = 0; round < 40; ++round) {
-    ThreadPool pool(static_cast<unsigned>(1 + round % 8));
+    WorkStealingPool pool(static_cast<unsigned>(1 + round % 8));
     std::atomic<std::uint64_t> total{0};
-    pool.run(256, [&](std::size_t begin, std::size_t end, unsigned) {
+    pool.parallel_for_1d(256, [&](std::size_t begin, std::size_t end, unsigned) {
       total.fetch_add(end - begin, std::memory_order_relaxed);
     });
     ASSERT_EQ(total.load(), 256u);

@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -24,7 +23,13 @@
 namespace pcmax {
 namespace {
 
+TEST(WorkStealingPool, RejectsZeroThreads) {
+  EXPECT_THROW(WorkStealingPool(0), InvalidArgumentError);
+}
+
 TEST(WorkStealingPool, RangeCoversEveryIndexExactlyOnce) {
+  // Every claim size: 0 (automatic), single iterations, and a fixed chunk.
+  // No slice is ever empty, so an empty range makes no body call at all.
   for (const unsigned threads : {1u, 2u, 4u}) {
     WorkStealingPool pool(threads);
     EXPECT_EQ(pool.size(), threads);
@@ -37,7 +42,7 @@ TEST(WorkStealingPool, RangeCoversEveryIndexExactlyOnce) {
             n,
             [&](std::size_t begin, std::size_t end, unsigned worker) {
               ASSERT_LT(worker, threads);
-              ASSERT_LE(begin, end);
+              ASSERT_LT(begin, end);
               ASSERT_LE(end, n);
               for (std::size_t i = begin; i < end; ++i) {
                 hits[i].fetch_add(1, std::memory_order_relaxed);
@@ -279,9 +284,7 @@ TEST(WorkStealingExecutor, AdaptsThePoolBehindTheExecutorInterface) {
   Executor& base = executor;
   EXPECT_EQ(executor.concurrency(), 3u);
   EXPECT_EQ(executor.name(), "workstealing");
-  for (const LoopSchedule schedule :
-       {LoopSchedule::kStatic, LoopSchedule::kRoundRobin,
-        LoopSchedule::kDynamic}) {
+  for (const std::size_t chunk : {std::size_t{0}, std::size_t{1}, std::size_t{4}}) {
     std::vector<std::atomic<int>> hits(257);
     base.parallel_for_ranges(
         hits.size(),
@@ -291,19 +294,11 @@ TEST(WorkStealingExecutor, AdaptsThePoolBehindTheExecutorInterface) {
             hits[i].fetch_add(1, std::memory_order_relaxed);
           }
         },
-        schedule, /*chunk=*/4);
+        chunk);
     for (std::size_t i = 0; i < hits.size(); ++i) {
-      ASSERT_EQ(hits[i].load(), 1)
-          << loop_schedule_name(schedule) << " index " << i;
+      ASSERT_EQ(hits[i].load(), 1) << "chunk " << chunk << " index " << i;
     }
   }
-
-  // The factory resolves both spellings and rejects unknown backends.
-  const std::unique_ptr<Executor> made = make_executor("workstealing", 2);
-  EXPECT_EQ(made->name(), "workstealing");
-  const std::unique_ptr<Executor> dashed = make_executor("work-stealing", 2);
-  EXPECT_EQ(dashed->name(), "workstealing");
-  EXPECT_THROW(make_executor("bogus-backend", 2), InvalidArgumentError);
 }
 
 }  // namespace

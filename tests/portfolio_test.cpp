@@ -264,8 +264,7 @@ TEST(Portfolio, CancellationStormLeavesEveryRaceAnswered) {
   threads.reserve(kRaces + 1);
   for (int i = 0; i < kRaces; ++i) {
     threads.emplace_back([&, i] {
-      const std::unique_ptr<Executor> executor =
-          make_executor(i % 2 == 0 ? "workstealing" : "threadpool", 2);
+      const std::unique_ptr<Executor> executor = make_executor("workstealing", 2);
       PortfolioOptions options;
       options.build.executor = executor.get();
       options.racers = {"lpt", "multifit", "ptas", "parallel-ptas"};

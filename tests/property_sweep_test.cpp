@@ -73,7 +73,7 @@ TEST_P(PropertySweep, AllTheoreticalGuaranteesHold) {
   EXPECT_GE(ptas.makespan, opt);
 
   // Parallel PTAS: identical makespan on 2 threads, bucketed engine.
-  ThreadPoolExecutor executor(2);
+  WorkStealingExecutor executor(2);
   PtasOptions par_options;
   par_options.engine = DpEngine::kParallelBucketed;
   par_options.executor = &executor;

@@ -9,7 +9,7 @@
 // kernel, which shares no fits-test code with the packed kernels. Bottom-up
 // on SWAR and on AVX2, the scan-per-level sweep and the team sweep (one
 // Executor::run_team episode per fill) — the parallel paths at 1, 2, 3 and
-// 8 threads on every executor backend — must reproduce its values and
+// 8 threads on the work-stealing executor — must reproduce its values and
 // argmin choices byte for byte in both table modes, compute every entry
 // once and conserve scans + pruned. PtasSolver's inline cutoff is checked
 // on both sides of kTeamFillMinWork.
@@ -152,15 +152,6 @@ void expect_identical_tables(const DpRun& reference, const DpRun& run,
   }
 }
 
-/// Executor backends of the parallel paths: every backend this build has.
-std::vector<std::string> team_backends() {
-  std::vector<std::string> backends{"threadpool", "workstealing"};
-#if defined(PCMAX_HAVE_OPENMP)
-  backends.emplace_back("openmp");
-#endif
-  return backends;
-}
-
 /// One rounded DP input of the cross-check suite.
 struct Shape {
   std::vector<Time> sizes;
@@ -201,14 +192,12 @@ TEST_P(DpPathCrossCheck, MatchesThePerEntryReference) {
   // A forced AVX2 kernel on a host or build without it runs the SWAR
   // kernel it degrades to, so those cases check the degradation instead.
   const auto [path, kernel, mode] = GetParam();
-  // The parallel paths run on every backend at 1, 2, 3 and 8 threads.
+  // The parallel paths run at 1, 2, 3 and 8 threads.
   std::vector<std::pair<std::string, std::unique_ptr<Executor>>> executors;
   if (path != DpPath::kBottomUp) {
-    for (const std::string& backend : team_backends()) {
-      for (const unsigned threads : {1u, 2u, 3u, 8u}) {
-        executors.emplace_back(backend + "/t" + std::to_string(threads),
-                               make_executor(backend, threads));
-      }
+    for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+      executors.emplace_back(std::to_string(threads) + " threads",
+                             std::make_unique<WorkStealingExecutor>(threads));
     }
   }
   DpOptions reference_options;
@@ -306,37 +295,35 @@ TEST(DpCrossCheck, PtasSolverFillsInlineBelowTheCutoffAndInOneTeamAbove) {
   };
   const Instance small = generate_instance(InstanceFamily::kUniform1To100, 5, 30, 3, 0);
   const Instance large = generate_instance(InstanceFamily::kUniform1To100, 10, 50, 3, 0);
-  for (const char* backend : {"threadpool", "workstealing"}) {
-    const std::unique_ptr<Executor> executor = make_executor(backend, 2);
-    for (const auto& [instance, epsilon] :
-         {std::pair{&small, 0.3}, std::pair{&large, 0.2}}) {
-      PtasOptions options;
-      options.epsilon = epsilon;
-      options.keep_trace = true;
-      const Time expected = PtasSolver(options).solve(*instance).makespan;
-      options.engine = DpEngine::kParallelBucketed;
-      options.executor = executor.get();
-      const auto [regions, result] = solve_counting_regions(*instance, options);
-      std::uint64_t above = 0;
-      for (const BisectionIteration& probe : result.bisection.trace) {
-        if (work(probe) >= kTeamFillMinWork) ++above;
-      }
-      const std::string what = std::string(backend) + " eps " + std::to_string(epsilon);
-      if (instance == &small) {
-        EXPECT_EQ(above, 0u) << what;
-      } else {
-        EXPECT_GT(above, 0u) << what;
-      }
-      EXPECT_EQ(regions, above) << what;
-      EXPECT_EQ(result.makespan, expected) << what;
+  WorkStealingExecutor executor(2);
+  for (const auto& [instance, epsilon] :
+       {std::pair{&small, 0.3}, std::pair{&large, 0.2}}) {
+    PtasOptions options;
+    options.epsilon = epsilon;
+    options.keep_trace = true;
+    const Time expected = PtasSolver(options).solve(*instance).makespan;
+    options.engine = DpEngine::kParallelBucketed;
+    options.executor = &executor;
+    const auto [regions, result] = solve_counting_regions(*instance, options);
+    std::uint64_t above = 0;
+    for (const BisectionIteration& probe : result.bisection.trace) {
+      if (work(probe) >= kTeamFillMinWork) ++above;
     }
+    const std::string what = "eps " + std::to_string(epsilon);
+    if (instance == &small) {
+      EXPECT_EQ(above, 0u) << what;
+    } else {
+      EXPECT_GT(above, 0u) << what;
+    }
+    EXPECT_EQ(regions, above) << what;
+    EXPECT_EQ(result.makespan, expected) << what;
   }
 }
 
 TEST(DpCrossCheck, MetricsEntryTotalsAgreeAcrossVariantsAndSchedules) {
   if constexpr (!obs::kMetricsEnabled) GTEST_SKIP() << "PCMAX_METRICS is OFF";
-  // The parallel paths observed through the metrics layer, on every
-  // backend: each run's per-worker entry totals must sum to sigma whether
+  // The parallel paths observed through the metrics layer: each run's
+  // per-worker entry totals must sum to sigma whether
   // the entries were dealt round-robin (scan-per-level) or in blocks (team
   // sweep), the schedule each run records.
   const RoundedInstance rounded = make_rounded({8, 12, 19}, {3, 3, 2}, 38);
@@ -345,16 +332,14 @@ TEST(DpCrossCheck, MetricsEntryTotalsAgreeAcrossVariantsAndSchedules) {
   obs::Metrics metrics(4);
   const obs::MetricsScope scope(metrics);
   std::size_t expected_runs = 0;
-  for (const std::string& backend : team_backends()) {
-    const std::unique_ptr<Executor> executor = make_executor(backend, 4);
-    for (const ParallelDpVariant variant :
-         {ParallelDpVariant::kScanPerLevel, ParallelDpVariant::kBucketed}) {
-      ParallelDpOptions options;
-      options.executor = executor.get();
-      options.variant = variant;
-      dp_parallel(rounded, space, configs, options);
-      ++expected_runs;
-    }
+  WorkStealingExecutor executor(4);
+  for (const ParallelDpVariant variant :
+       {ParallelDpVariant::kScanPerLevel, ParallelDpVariant::kBucketed}) {
+    ParallelDpOptions options;
+    options.executor = &executor;
+    options.variant = variant;
+    dp_parallel(rounded, space, configs, options);
+    ++expected_runs;
   }
   const std::vector<obs::DpRunRecord> runs = metrics.dp_runs();
   ASSERT_EQ(runs.size(), expected_runs);

@@ -100,7 +100,7 @@ TEST(PaperExample, ParallelSweepReproducesTableOnFourProcessors) {
   const StateSpace space({2, 3}, kBig);
   const ConfigSet configs = enumerate_configs(rounded, space, kBig);
 
-  ThreadPoolExecutor executor(4);
+  WorkStealingExecutor executor(4);
   ParallelDpOptions options;
   options.executor = &executor;
   options.variant = ParallelDpVariant::kScanPerLevel;  // Algorithm 3 verbatim

@@ -6,7 +6,6 @@
 // ptas_dp_crosscheck_test.cpp.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -92,16 +91,16 @@ TEST(DpBottomUp, MatchesFirstFitReasoningOnMixedSizes) {
 }
 
 // The fills share their executor with the solver's other loops (the
-// parallel sort runs dynamic, calibration static), so each case runs a
-// loop of the given schedule on the same executor between two fills: the
-// pool's episodes of another schedule must leave the next fill's table
-// exactly the bottom-up one.
+// parallel sort claims single iterations, the level array the automatic
+// chunk), so each case runs a loop of the given claim size on the same
+// executor between two fills: the pool's episodes of another claim size
+// must leave the next fill's table exactly the bottom-up one.
 class ParallelDpEquivalence
     : public ::testing::TestWithParam<std::tuple<ParallelDpVariant, unsigned,
-                                                 LoopSchedule>> {};
+                                                 std::size_t>> {};
 
 TEST_P(ParallelDpEquivalence, ProducesTheExactBottomUpTable) {
-  const auto [variant, threads, schedule] = GetParam();
+  const auto [variant, threads, chunk] = GetParam();
 
   const DpFixture fixtures[] = {
       DpFixture({6, 11}, {2, 3}, 30),
@@ -110,34 +109,36 @@ TEST_P(ParallelDpEquivalence, ProducesTheExactBottomUpTable) {
       DpFixture({}, {}, 30),
       DpFixture({7, 8, 9, 10}, {2, 1, 2, 1}, 31),
   };
-  for (const char* backend : {"threadpool", "workstealing"}) {
-    const std::unique_ptr<Executor> executor = make_executor(backend, threads);
-    ParallelDpOptions options;
-    options.variant = variant;
-    options.executor = executor.get();
+  WorkStealingExecutor executor(threads);
+  ParallelDpOptions options;
+  options.variant = variant;
+  options.executor = &executor;
 
-    for (const DpFixture& f : fixtures) {
-      const DpRun expected = dp_bottom_up(f.rounded, f.space, f.configs);
-      for (int round = 0; round < 2; ++round) {
-        const DpRun run = dp_parallel(f.rounded, f.space, f.configs, options);
-        EXPECT_EQ(run.machines_needed, expected.machines_needed) << backend;
-        EXPECT_EQ(run.stats.entries_computed, expected.stats.entries_computed)
-            << backend;
-        for (std::size_t i = 0; i < f.space.size(); ++i) {
-          ASSERT_EQ(run.table.value(i), expected.table.value(i))
-              << parallel_dp_variant_name(variant) << " " << backend
-              << " threads=" << threads << " round " << round << " entry " << i;
-          // The argmin tie-break (lowest config id) makes choices
-          // deterministic and identical across all realisations.
-          ASSERT_EQ(run.table.choice(i), expected.table.choice(i));
-        }
+  for (const DpFixture& f : fixtures) {
+    const DpRun expected = dp_bottom_up(f.rounded, f.space, f.configs);
+    for (int round = 0; round < 2; ++round) {
+      const DpRun run = dp_parallel(f.rounded, f.space, f.configs, options);
+      EXPECT_EQ(run.machines_needed, expected.machines_needed);
+      EXPECT_EQ(run.stats.entries_computed, expected.stats.entries_computed);
+      for (std::size_t i = 0; i < f.space.size(); ++i) {
+        ASSERT_EQ(run.table.value(i), expected.table.value(i))
+            << parallel_dp_variant_name(variant) << " threads=" << threads
+            << " round " << round << " entry " << i;
+        // The argmin tie-break (lowest config id) makes choices
+        // deterministic and identical across all realisations.
+        ASSERT_EQ(run.table.choice(i), expected.table.choice(i));
+      }
 
-        std::vector<int> hits(f.space.size() + 7, 0);
-        executor->parallel_for(
-            hits.size(), [&](std::size_t i) { ++hits[i]; }, schedule);
-        for (std::size_t i = 0; i < hits.size(); ++i) {
-          ASSERT_EQ(hits[i], 1) << backend << " index " << i;
-        }
+      std::vector<int> hits(f.space.size() + 7, 0);
+      Executor& base = executor;  // the default cancel argument lives here
+      base.parallel_for_ranges(
+          hits.size(),
+          [&](std::size_t begin, std::size_t end, unsigned) {
+            for (std::size_t i = begin; i < end; ++i) ++hits[i];
+          },
+          chunk);
+      for (std::size_t i = 0; i < hits.size(); ++i) {
+        ASSERT_EQ(hits[i], 1) << "chunk " << chunk << " index " << i;
       }
     }
   }
@@ -145,16 +146,16 @@ TEST_P(ParallelDpEquivalence, ProducesTheExactBottomUpTable) {
 
 std::string equivalence_name(
     const ::testing::TestParamInfo<
-        std::tuple<ParallelDpVariant, unsigned, LoopSchedule>>& info) {
-  const auto [variant, threads, schedule] = info.param;
+        std::tuple<ParallelDpVariant, unsigned, std::size_t>>& info) {
+  const auto [variant, threads, chunk] = info.param;
   std::string name = parallel_dp_variant_name(variant);
   for (auto& ch : name) {
     if (ch == '-') ch = '_';
   }
   name += "_t" + std::to_string(threads);
-  name += schedule == LoopSchedule::kStatic       ? "_static"
-          : schedule == LoopSchedule::kRoundRobin ? "_rr"
-                                                  : "_dyn";
+  // The labels name the claim sizes: automatic contiguous blocks, single
+  // iterations dealt out one at a time, and a fixed chunk.
+  name += chunk == 0 ? "_static" : chunk == 1 ? "_rr" : "_dyn";
   return name;
 }
 
@@ -163,37 +164,14 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(ParallelDpVariant::kScanPerLevel,
                                          ParallelDpVariant::kBucketed),
                        ::testing::Values(1u, 2u, 4u),
-                       ::testing::Values(LoopSchedule::kStatic,
-                                         LoopSchedule::kRoundRobin,
-                                         LoopSchedule::kDynamic)),
+                       ::testing::Values(std::size_t{0}, std::size_t{1},
+                                         std::size_t{5})),
     equivalence_name);
-
-#if defined(PCMAX_HAVE_OPENMP)
-TEST(DpParallelOpenMP, MatchesBottomUpThroughTheOpenMPBackend) {
-  // The paper's implementation substrate: OpenMP worksharing must produce
-  // the same tables as our own pool (and as the sequential fill).
-  DpFixture f({9, 13, 17}, {3, 2, 2}, 40);
-  const DpRun expected = dp_bottom_up(f.rounded, f.space, f.configs);
-  OpenMPExecutor executor(3);
-  for (const auto variant :
-       {ParallelDpVariant::kScanPerLevel, ParallelDpVariant::kBucketed}) {
-    ParallelDpOptions options;
-    options.variant = variant;
-    options.executor = &executor;
-    const DpRun run = dp_parallel(f.rounded, f.space, f.configs, options);
-    EXPECT_EQ(run.machines_needed, expected.machines_needed);
-    for (std::size_t i = 0; i < f.space.size(); ++i) {
-      ASSERT_EQ(run.table.value(i), expected.table.value(i))
-          << parallel_dp_variant_name(variant) << " " << i;
-    }
-  }
-}
-#endif  // PCMAX_HAVE_OPENMP
 
 TEST(ComputeLevels, MatchesLevelOf) {
   const StateSpace space({3, 2, 2}, kBig);
   for (unsigned threads : {1u, 3u}) {
-    ThreadPoolExecutor executor(threads);
+    WorkStealingExecutor executor(threads);
     const std::vector<std::int32_t> levels = compute_levels(space, executor);
     ASSERT_EQ(levels.size(), space.size());
     for (std::size_t i = 0; i < space.size(); ++i) {
@@ -243,19 +221,17 @@ TEST(DpKernels, ParallelVariantsSupportPerEntryEnumeration) {
   const DpRun expected = dp_bottom_up(f.rounded, f.space, f.configs, per_entry);
   for (const ParallelDpVariant variant :
        {ParallelDpVariant::kScanPerLevel, ParallelDpVariant::kBucketed}) {
-    for (const char* backend : {"threadpool", "workstealing"}) {
-      const std::unique_ptr<Executor> executor = make_executor(backend, 2);
-      ParallelDpOptions options;
-      options.variant = variant;
-      options.executor = executor.get();
-      options.kernel = DpKernel::kPerEntryEnum;
-      const DpRun run = dp_parallel(f.rounded, f.space, f.configs, options);
-      EXPECT_EQ(run.machines_needed, expected.machines_needed) << backend;
-      for (std::size_t i = 0; i < f.space.size(); ++i) {
-        ASSERT_EQ(run.table.value(i), expected.table.value(i))
-            << parallel_dp_variant_name(variant) << " " << backend << " " << i;
-        ASSERT_EQ(run.table.choice(i), expected.table.choice(i));
-      }
+    WorkStealingExecutor executor(2);
+    ParallelDpOptions options;
+    options.variant = variant;
+    options.executor = &executor;
+    options.kernel = DpKernel::kPerEntryEnum;
+    const DpRun run = dp_parallel(f.rounded, f.space, f.configs, options);
+    EXPECT_EQ(run.machines_needed, expected.machines_needed);
+    for (std::size_t i = 0; i < f.space.size(); ++i) {
+      ASSERT_EQ(run.table.value(i), expected.table.value(i))
+          << parallel_dp_variant_name(variant) << " " << i;
+      ASSERT_EQ(run.table.choice(i), expected.table.choice(i));
     }
   }
 }
@@ -263,7 +239,7 @@ TEST(DpKernels, ParallelVariantsSupportPerEntryEnumeration) {
 TEST(DpStats, ConfigScansAreConsistentAcrossVariants) {
   DpFixture f({9, 13, 17}, {3, 2, 2}, 40);
   const DpRun bottom = dp_bottom_up(f.rounded, f.space, f.configs);
-  ThreadPoolExecutor executor(2);
+  WorkStealingExecutor executor(2);
   ParallelDpOptions options;
   options.variant = ParallelDpVariant::kBucketed;
   options.executor = &executor;

@@ -60,7 +60,7 @@ TEST(PtasSolver, SolvesTheQuickstartInstanceWithinTheGuarantee) {
 }
 
 TEST(PtasSolver, AllEnginesProduceTheSameMakespan) {
-  ThreadPoolExecutor executor(3);
+  WorkStealingExecutor executor(3);
   WorkStealingExecutor work_stealing(3);
   for (std::uint64_t index = 0; index < 4; ++index) {
     const Instance instance =
@@ -192,7 +192,7 @@ TEST(PtasSolver, MakespanNeverBelowTStar) {
 }
 
 TEST(PtasSolver, ParallelEngineMatchesSequentialOnEveryFamily) {
-  ThreadPoolExecutor executor(2);
+  WorkStealingExecutor executor(2);
   for (const InstanceFamily family : all_families()) {
     const Instance instance = generate_instance(family, 5, 25, 88, 0);
 

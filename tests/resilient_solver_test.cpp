@@ -99,7 +99,7 @@ TEST(ResilientSolver, FaultMidDpDegradesWithCorrectReason) {
   FaultInjector injector("dp.level", /*fire_at=*/2,
                          FaultInjector::Action::kCancel, token);
   FaultScope scope(injector);
-  ThreadPoolExecutor executor(2);
+  WorkStealingExecutor executor(2);
   ResilientOptions options;
   options.ptas.epsilon = 0.2;
   options.ptas.engine = DpEngine::kParallelBucketed;

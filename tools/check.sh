@@ -89,14 +89,14 @@ run_simd() {
 
 run_tsan() {
   echo "== ThreadSanitizer tree: ctest -L sanitize =="
-  # PCMAX_SANITIZE=thread force-disables the OpenMP backend (libgomp is not
-  # TSan-instrumented), so this also covers the OpenMP-disabled configuration.
+  # Every thread here is one of pcmax's own (the work-stealing pool, the
+  # barrier, the service), so TSan sees all of their synchronisation.
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DPCMAX_SANITIZE=thread
   cmake --build build-tsan -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L sanitize
   echo "== ThreadSanitizer tree: team episodes, 3 repeats =="
-  # run_team contract and stress (all backends, nested teams, member
+  # run_team contract and stress (both executors, nested teams, member
   # exceptions, back-to-back teams with pool churn), the spin-then-block
   # barrier, and the team DP sweep cross-checks (the TeamSweep_* cases of
   # DpPathCrossCheck). Their interleavings vary from run to run, so they

@@ -141,10 +141,6 @@ int cmd_solve(int argc, const char* const* argv) {
   cli.add_string("solver", "parallel-ptas", registered_solvers_help());
   cli.add_double("epsilon", 0.3, "PTAS accuracy");
   cli.add_int("threads", 0, "worker threads (0 = hardware concurrency)");
-  cli.add_string("pool", "workstealing",
-                 "executor backend for the parallel engines: 'workstealing' "
-                 "(per-worker range shards with slice stealing) or "
-                 "'threadpool' (fork-join baseline)");
   cli.add_double("exact-seconds", 60.0, "budget for the exact solvers");
   cli.add_bool("schedules", false, "also print the full schedules");
   cli.add_int("limit", 0, "solve only the first N instances (0 = all)");
@@ -174,12 +170,11 @@ int cmd_solve(int argc, const char* const* argv) {
   }
   const unsigned threads =
       cli.get_int("threads") > 0 ? static_cast<unsigned>(cli.get_int("threads"))
-                                 : ThreadPool::hardware_threads();
-  const std::unique_ptr<Executor> executor =
-      make_executor(cli.get_string("pool"), threads);
+                                 : hardware_threads();
+  WorkStealingExecutor executor(threads);
   const std::int64_t time_limit_ms = cli.get_int("time-limit-ms");
   const SolverBuild build =
-      build_from_cli(cli.get_double("epsilon"), executor.get(),
+      build_from_cli(cli.get_double("epsilon"), &executor,
                      cli.get_double("exact-seconds"), time_limit_ms);
   const std::unique_ptr<Solver> solver =
       make_solver(cli.get_string("solver"), build, on_limit == "fallback");
@@ -248,9 +243,6 @@ int cmd_race(int argc, const char* const* argv) {
                      registered_solvers_help());
   cli.add_double("epsilon", 0.3, "PTAS accuracy");
   cli.add_int("threads", 0, "executor threads (0 = hardware concurrency)");
-  cli.add_string("pool", "workstealing",
-                 "executor backend shared by the racers: 'workstealing' or "
-                 "'threadpool'");
   cli.add_int("concurrent", 0,
               "max concurrently running heavy racers (0 = all at once, "
               "1 = deterministic sequential race)");
@@ -276,13 +268,12 @@ int cmd_race(int argc, const char* const* argv) {
 
   const unsigned threads =
       cli.get_int("threads") > 0 ? static_cast<unsigned>(cli.get_int("threads"))
-                                 : ThreadPool::hardware_threads();
-  const std::unique_ptr<Executor> executor =
-      make_executor(cli.get_string("pool"), threads);
+                                 : hardware_threads();
+  WorkStealingExecutor executor(threads);
   const std::int64_t time_limit_ms = cli.get_int("time-limit-ms");
 
   PortfolioOptions options;
-  options.build = build_from_cli(cli.get_double("epsilon"), executor.get(),
+  options.build = build_from_cli(cli.get_double("epsilon"), &executor,
                                  cli.get_double("exact-seconds"), time_limit_ms);
   options.max_concurrent = static_cast<unsigned>(cli.get_int("concurrent"));
   const std::string racers = cli.get_string("racers");
