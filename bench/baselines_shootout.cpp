@@ -20,7 +20,7 @@
 
 using namespace pcmax;
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   CliParser cli("Every heuristic vs the certified optimum, per family.");
   cli.add_int("m", 8, "machines");
   cli.add_int("n", 40, "jobs");
@@ -87,4 +87,8 @@ int main(int argc, char** argv) {
             << "x optimum; the heuristics have weaker guarantees but often "
                "do better in the mean.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return run_main([&] { return run_bench(argc, argv); });
 }

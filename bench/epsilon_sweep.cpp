@@ -13,7 +13,7 @@
 
 using namespace pcmax;
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   CliParser cli("PTAS behaviour as a function of epsilon.");
   cli.add_int("m", 10, "machines");
   cli.add_int("n", 50, "jobs");
@@ -81,4 +81,8 @@ int main(int argc, char** argv) {
                "columns show the exponential price of tightening epsilon —\n"
                "the work the parallel sweep is designed to absorb.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return run_main([&] { return run_bench(argc, argv); });
 }

@@ -3,5 +3,7 @@
 #include "speedup_bench_common.hpp"
 
 int main(int argc, char** argv) {
-  return pcmax::benchapp::run_speedup_figure("Figure 2", 20, 100, argc, argv);
+  return pcmax::run_main([&] {
+    return pcmax::benchapp::run_speedup_figure("Figure 2", 20, 100, argc, argv);
+  });
 }

@@ -3,5 +3,7 @@
 #include "speedup_bench_common.hpp"
 
 int main(int argc, char** argv) {
-  return pcmax::benchapp::run_speedup_figure("Figure 3", 10, 50, argc, argv);
+  return pcmax::run_main([&] {
+    return pcmax::benchapp::run_speedup_figure("Figure 3", 10, 50, argc, argv);
+  });
 }

@@ -10,7 +10,7 @@
 
 using namespace pcmax;
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   CliParser cli(
       "Reproduces paper Figure 5: actual approximation ratios vs the exact "
       "optimum on best/worst-case instance specs (Tables II-III).");
@@ -64,4 +64,8 @@ int main(int argc, char** argv) {
   std::cout << "\nlargest LPT-vs-PTAS gap: " << TablePrinter::fmt(best_gap, 4)
             << " on " << best_label << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return run_main([&] { return run_bench(argc, argv); });
 }

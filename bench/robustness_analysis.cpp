@@ -15,7 +15,7 @@
 
 using namespace pcmax;
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   CliParser cli("Realised-makespan inflation under multiplicative time noise.");
   cli.add_int("m", 8, "machines");
   cli.add_int("n", 40, "jobs");
@@ -78,4 +78,8 @@ int main(int argc, char** argv) {
                "planner, dominates realised makespans. Guarantees on the\n"
                "nominal makespan survive scaled by (1+delta).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return run_main([&] { return run_bench(argc, argv); });
 }

@@ -14,7 +14,7 @@
 
 using namespace pcmax;
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   CliParser cli("Work/span analysis of the parallel DP across the paper's "
                 "instance sizes (Section IV).");
   cli.add_int("trials", 3, "instances per configuration");
@@ -73,4 +73,8 @@ int main(int argc, char** argv) {
                "is far above 16 scale linearly at the paper's core counts;\n"
                "narrow tables flatten exactly as the paper observes.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return run_main([&] { return run_bench(argc, argv); });
 }

@@ -8,11 +8,16 @@
 #include "algo/ptas/config_enum.hpp"
 #include "algo/ptas/dp_parallel.hpp"
 #include "algo/ptas/dp_sequential.hpp"
+#include "util/cli.hpp"
 #include "util/table_printer.hpp"
 
 using namespace pcmax;
 
-int main() {
+static int run_bench(int argc, char** argv) {
+  CliParser cli("Reproduces paper Table I and Figure 1: the worked DP example "
+                "(no flags).");
+  if (!cli.parse(argc, argv)) return 0;
+
   RoundedInstance rounded;
   rounded.params = RoundingParams::make(30, 4);
   rounded.class_index = {6, 11};
@@ -60,4 +65,8 @@ int main() {
   for (std::size_t q : space.level_histogram()) std::cout << q << " ";
   std::cout << "\nOPT(N) = OPT(2,3) = " << run.machines_needed << " machines\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return run_main([&] { return run_bench(argc, argv); });
 }

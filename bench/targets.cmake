@@ -9,9 +9,8 @@ function(pcmax_add_bench name)
   add_executable(${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cpp)
   set_target_properties(${name} PROPERTIES RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
   target_link_libraries(${name} PRIVATE
-    pcmax_harness pcmax_service pcmax_sim pcmax_portfolio pcmax_mip
-    pcmax_exact pcmax_resilient pcmax_algo pcmax_core pcmax_parallel
-    pcmax_obs pcmax_util)
+    pcmax_harness pcmax_sim pcmax_mip pcmax_exact pcmax_algo pcmax_core
+    pcmax_parallel pcmax_obs pcmax_util)
 endfunction()
 
 # NO_MAIN: the bench provides its own main() (e.g. to add flags like --json
@@ -41,9 +40,6 @@ pcmax_add_bench(scaling_analysis)
 pcmax_add_bench(baselines_shootout)
 pcmax_add_bench(robustness_analysis)
 pcmax_add_bench(epsilon_sweep)
-pcmax_add_bench(service_throughput)
-pcmax_add_bench(service_storm)
-pcmax_add_bench(portfolio_race)
 pcmax_add_micro(micro_dp NO_MAIN)
 pcmax_add_micro(micro_parallel)
 
@@ -60,41 +56,11 @@ add_test(NAME bench_smoke_micro_dp
          COMMAND micro_dp --benchmark_filter=BM_DpBottomUp
                  --benchmark_min_time=0.01
                  --json ${CMAKE_BINARY_DIR}/bench/smoke_micro.json)
-add_test(NAME bench_smoke_service
-         COMMAND service_throughput --requests 8 --duplicates-percent 50
-                 --workers 2 --m 4 --n 16
-                 --json ${CMAKE_BINARY_DIR}/bench/smoke_service.json)
-add_test(NAME bench_smoke_storm
-         COMMAND service_storm --requests 192 --rate 100000 --uniques 24
-                 --burst 96 --queue 64 --wave 16 --heavy-m 4 --heavy-n 16
-                 --heavy-epsilon 0.3 --workers 2
-                 --json ${CMAKE_BINARY_DIR}/bench/smoke_storm.json)
-# The sharded arm: same storm at 4 shards plus a scaled-down pass through
-# the 10^6-request scale section (windowed async dispatch, per-shard
-# latency breakdown, shard-vs-single cross-check).
-add_test(NAME bench_smoke_storm_sharded
-         COMMAND service_storm --requests 192 --rate 100000 --uniques 24
-                 --burst 96 --queue 64 --wave 16 --heavy-m 4 --heavy-n 16
-                 --heavy-epsilon 0.3 --workers 4 --shards 4
-                 --scale-requests 4096 --scale-uniques 48 --scale-window 256
-                 --scale-submitters 2
-                 --json ${CMAKE_BINARY_DIR}/bench/smoke_storm_sharded.json)
-# The variant-mix arm: the same tiny storm with the poisson/bursty pool
-# tagged classic/capacity/incremental, so `ctest -L bench-smoke` exercises
-# the variant plumbing end to end (reduction solves, variant-aware cache
-# keys, per-mix variant breakdown in the JSON report).
-add_test(NAME bench_smoke_storm_variants
-         COMMAND service_storm --requests 192 --rate 100000 --uniques 24
-                 --burst 96 --queue 64 --wave 16 --heavy-m 4 --heavy-n 16
-                 --heavy-epsilon 0.3 --workers 2
-                 --variant-mix classic=2,capacity=1,incremental=1
-                 --json ${CMAKE_BINARY_DIR}/bench/smoke_storm_variants.json)
-add_test(NAME bench_smoke_portfolio
-         COMMAND portfolio_race --limit-sizes 1 --exact-seconds 1
-                 --json ${CMAKE_BINARY_DIR}/bench/smoke_portfolio.json)
-set_tests_properties(bench_smoke_fig4_replay
-                     bench_smoke_micro_dp bench_smoke_service
-                     bench_smoke_storm bench_smoke_storm_sharded
-                     bench_smoke_storm_variants
-                     bench_smoke_portfolio
+# A malformed flag is reported as `error: <what>` with a non-zero exit, the
+# way the pcmax CLI reports it, instead of aborting the process.
+add_test(NAME bench_smoke_bad_flag COMMAND fig5_approx_ratios --bogus)
+set_tests_properties(bench_smoke_bad_flag PROPERTIES
+                     PASS_REGULAR_EXPRESSION "^error: ")
+set_tests_properties(bench_smoke_fig4_replay bench_smoke_micro_dp
+                     bench_smoke_bad_flag
                      PROPERTIES LABELS "bench-smoke" TIMEOUT 120)

@@ -31,7 +31,8 @@ struct DpLimits {
   std::size_t max_configs = std::size_t{1} << 22;
   /// Cooperative stop signal, checked before each probe and threaded into
   /// config enumeration (rides along with the budgets, which already reach
-  /// every probe site). The DP backend carries its own copy.
+  /// every probe site). The DP backend carries its own copy. PtasSolver
+  /// sets it from SolveContext.cancel and rejects a caller-set token.
   CancellationToken cancel;
   /// Optional shared incumbent board (core/solve_context.hpp). When set,
   /// the search reads it ONCE at start and clamps its initial upper bound

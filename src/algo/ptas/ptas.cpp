@@ -36,6 +36,9 @@ PtasSolver::PtasSolver(PtasOptions options)
                               options_.engine == DpEngine::kParallelBucketed;
   PCMAX_REQUIRE(!needs_executor || options_.executor != nullptr,
                 "parallel DP engines require an executor");
+  PCMAX_REQUIRE(!options_.limits.cancel.valid(),
+                "PtasOptions.limits.cancel is not read by PtasSolver; pass "
+                "the stop signal as SolveContext.cancel");
 }
 
 std::string PtasSolver::name() const {
@@ -81,17 +84,6 @@ DpBackendFn PtasSolver::make_backend(DpTableMode mode,
     }
   }
   throw InvalidArgumentError("unknown DP engine");
-}
-
-SolveContext PtasSolver::legacy_context(bool* used_legacy_cancel) const {
-  // Prefer the limits-level token when both legacy fields are set — that is
-  // what the pre-v2 code did (solve_with_trace only copied options_.cancel
-  // into limits when limits.cancel was unset).
-  const CancellationToken& legacy = options_.limits.cancel.valid()
-                                        ? options_.limits.cancel
-                                        : options_.cancel;
-  *used_legacy_cancel = legacy.valid();
-  return SolveContext::with_token(legacy);
 }
 
 namespace {
@@ -260,13 +252,7 @@ PtasResult PtasSolver::solve_impl(const Instance& instance,
 }
 
 PtasResult PtasSolver::solve_with_trace(const Instance& instance) {
-  bool used_legacy_cancel = false;
-  const SolveContext context = legacy_context(&used_legacy_cancel);
-  PtasResult result = solve_impl(instance, context);
-  if (used_legacy_cancel) {
-    note_deprecated_field(result, "PtasOptions.cancel", "SolveContext.cancel");
-  }
-  return result;
+  return solve_impl(instance, SolveContext{});
 }
 
 PtasResult PtasSolver::solve_with_trace(const Instance& instance,
@@ -275,7 +261,7 @@ PtasResult PtasSolver::solve_with_trace(const Instance& instance,
 }
 
 SolverResult PtasSolver::solve(const Instance& instance) {
-  return solve_with_trace(instance);
+  return solve_impl(instance, SolveContext{});
 }
 
 SolverResult PtasSolver::solve(const Instance& instance,

@@ -79,15 +79,6 @@ struct PtasOptions {
   /// When true, the per-iteration bisection trace is copied into the result
   /// (used by the simulated-multicore harness).
   bool keep_trace = false;
-  /// DEPRECATED (API v2): pass the stop signal via SolveContext.cancel and
-  /// call solve(instance, context) instead. Still honoured by the legacy
-  /// solve(instance) path, which stamps a one-time deprecation note into
-  /// SolverResult::notes. Semantics unchanged: checked before every probe,
-  /// per DP level, and (amortised) inside DP range chunks; the PTAS is
-  /// all-or-nothing — on a stop it throws DeadlineExceededError /
-  /// CancelledError rather than returning a partial schedule; pair with
-  /// ResilientSolver for a graceful-degradation fallback.
-  CancellationToken cancel;
 };
 
 /// Result extension carrying the bisection trace when requested.
@@ -98,18 +89,23 @@ struct PtasResult : SolverResult {
 /// The (parallel) PTAS solver.
 class PtasSolver final : public Solver {
  public:
+  /// Throws InvalidArgumentError when options.limits.cancel is set: the
+  /// solver's stop signal is SolveContext.cancel, and the solve overwrites
+  /// the probe token with it.
   explicit PtasSolver(PtasOptions options);
 
   [[nodiscard]] std::string name() const override;
 
-  /// Legacy (v1) entry point: honours the deprecated PtasOptions.cancel /
-  /// DpLimits.cancel fields by lifting them into a SolveContext.
+  /// solve(instance, SolveContext{}).
   SolverResult solve(const Instance& instance) override;
 
-  /// API v2 entry point: stop signal, deadline, and incumbent board come
-  /// from the context. When the context carries an IncumbentBoard with a
-  /// published makespan, the search clamps its initial upper bound to it
-  /// (read once, at search start — see DpLimits::incumbent).
+  /// Stop signal, deadline, and incumbent board come from the context. The
+  /// PTAS is all-or-nothing: on a stop it throws DeadlineExceededError /
+  /// CancelledError rather than returning a partial schedule (pair it with
+  /// ResilientSolver for a fallback). When the context carries an
+  /// IncumbentBoard with a published makespan, the search clamps its
+  /// initial upper bound to it (read once, at search start — see
+  /// DpLimits::incumbent).
   SolverResult solve(const Instance& instance,
                      const SolveContext& context) override;
 
@@ -130,18 +126,13 @@ class PtasSolver final : public Solver {
   /// Builds the DP backend for the configured engine; `mode` selects the
   /// table storage (values-only for search probes, values+choices for the
   /// final reconstruction run). `cancel` is the solve's effective stop
-  /// signal (context token; the v1 path lifts the legacy option into it).
+  /// signal.
   DpBackendFn make_backend(DpTableMode mode,
                            const CancellationToken& cancel) const;
 
   /// The single implementation behind every public entry point: solve(),
   /// solve(ctx), solve_with_trace(), solve_with_trace(ctx) all land here.
   PtasResult solve_impl(const Instance& instance, const SolveContext& context);
-
-  /// Lifts the deprecated PtasOptions.cancel / DpLimits.cancel fields into
-  /// a SolveContext for the v1 entry points; remembers (for this call) which
-  /// legacy field was set so the result can carry the deprecation note.
-  [[nodiscard]] SolveContext legacy_context(bool* used_legacy_cancel) const;
 
   PtasOptions options_;
   int k_;

@@ -14,36 +14,16 @@ namespace pcmax {
 
 ResilientSolver::ResilientSolver(ResilientOptions options)
     : options_(std::move(options)) {
-  PCMAX_REQUIRE(options_.time_limit_ms >= 0,
-                "time limit must be non-negative (0 = unlimited)");
   PCMAX_REQUIRE(options_.multifit_iterations >= 1,
                 "MULTIFIT fallback needs at least one iteration");
 }
 
 SolverResult ResilientSolver::solve(const Instance& instance) {
-  SolveContext context = SolveContext::with_token(options_.cancel);
-  if (options_.time_limit_ms > 0) {
-    context.deadline = Deadline::after_ms(options_.time_limit_ms);
-  }
-  SolverResult result = solve_impl(instance, context);
-  if (options_.cancel.valid()) {
-    note_deprecated_field(result, "ResilientOptions.cancel",
-                          "SolveContext.cancel");
-  }
-  if (options_.time_limit_ms > 0) {
-    note_deprecated_field(result, "ResilientOptions.time_limit_ms",
-                          "SolveContext.deadline");
-  }
-  return result;
+  return solve(instance, SolveContext{});
 }
 
 SolverResult ResilientSolver::solve(const Instance& instance,
                                     const SolveContext& context) {
-  return solve_impl(instance, context);
-}
-
-SolverResult ResilientSolver::solve_impl(const Instance& instance,
-                                         const SolveContext& context) {
   Stopwatch sw;
   const ContextScopes scopes(context);
   obs::Metrics* metrics = obs::current();

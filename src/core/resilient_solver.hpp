@@ -38,14 +38,13 @@
 
 #include "algo/ptas/ptas.hpp"
 #include "core/solver.hpp"
-#include "util/deadline.hpp"
 
 namespace pcmax {
 
 /// Options of the graceful-degradation driver.
 struct ResilientOptions {
-  /// Configuration of the preferred solver (stage 1). Its `cancel` field is
-  /// replaced by the driver's effective token (external cancel + deadline).
+  /// Configuration of the preferred solver (stage 1), which runs under the
+  /// solve's context (external cancel + deadline).
   PtasOptions ptas;
 
   /// Optional externally-owned stage-1 solver (API v2). When set, stage 1
@@ -64,21 +63,6 @@ struct ResilientOptions {
   /// `preferred` is set.
   bool ptas_enabled = true;
 
-  /// DEPRECATED (API v2): pass the budget via SolveContext.deadline and
-  /// call solve(instance, context) instead. Still honoured by the legacy
-  /// solve(instance) path (with a one-time deprecation note). Wall-clock
-  /// budget for the whole solve in milliseconds; 0 = unlimited. The budget
-  /// covers the stage-1 attempt; the fallback rungs run under the same
-  /// (then typically expired) token and still terminate promptly.
-  std::int64_t time_limit_ms = 0;
-
-  /// DEPRECATED (API v2): pass the token via SolveContext.cancel and call
-  /// solve(instance, context) instead. Still honoured by the legacy
-  /// solve(instance) path (with a one-time deprecation note). External
-  /// cancellation signal layered under the deadline; the driver links its
-  /// per-solve deadline to this token without mutating it.
-  CancellationToken cancel;
-
   /// Binary-search depth of the MULTIFIT fallback rung.
   int multifit_iterations = 10;
 
@@ -95,21 +79,19 @@ class ResilientSolver final : public Solver {
 
   /// Never throws DeadlineExceededError / CancelledError /
   /// ResourceLimitError; always returns a complete valid schedule with
-  /// makespan at most the LPT bound. Legacy (v1) entry point: honours the
-  /// deprecated ResilientOptions.cancel / time_limit_ms fields.
+  /// makespan at most the LPT bound. solve(instance, SolveContext{}).
   SolverResult solve(const Instance& instance) override;
 
-  /// API v2 entry point: stop signal, deadline, and incumbent board come
-  /// from the context; same availability guarantee as solve(instance).
+  /// Stop signal, deadline, and incumbent board come from the context; same
+  /// availability guarantee as solve(instance). The deadline covers the
+  /// stage-1 attempt; the fallback rungs run under the same (then typically
+  /// expired) token and still terminate promptly.
   SolverResult solve(const Instance& instance,
                      const SolveContext& context) override;
 
   [[nodiscard]] const ResilientOptions& options() const { return options_; }
 
  private:
-  SolverResult solve_impl(const Instance& instance,
-                          const SolveContext& context);
-
   ResilientOptions options_;
 };
 

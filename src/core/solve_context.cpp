@@ -1,10 +1,5 @@
 #include "core/solve_context.hpp"
 
-#include <mutex>
-#include <set>
-
-#include "core/solver.hpp"
-
 namespace pcmax {
 
 bool IncumbentBoard::publish(Time makespan) {
@@ -45,32 +40,6 @@ std::optional<std::int64_t> SolveContext::remaining_ms() const {
   const double seconds = deadline.remaining_seconds();
   if (seconds <= 0.0) return 0;
   return static_cast<std::int64_t>(seconds * 1000.0);
-}
-
-namespace {
-
-std::mutex g_deprecation_mutex;
-std::set<std::string>& warned_fields() {
-  static std::set<std::string> fields;
-  return fields;
-}
-
-}  // namespace
-
-bool note_deprecated_field(SolverResult& result, const std::string& field,
-                           const std::string& replacement) {
-  {
-    const std::lock_guard<std::mutex> lock(g_deprecation_mutex);
-    if (!warned_fields().insert(field).second) return false;
-  }
-  result.notes["deprecation." + field] =
-      field + " is deprecated; pass " + replacement + " instead";
-  return true;
-}
-
-void reset_deprecation_notes_for_testing() {
-  const std::lock_guard<std::mutex> lock(g_deprecation_mutex);
-  warned_fields().clear();
 }
 
 }  // namespace pcmax

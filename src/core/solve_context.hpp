@@ -1,13 +1,8 @@
 // SolveContext — the one object that carries a solve's cross-cutting knobs.
 //
-// PR 2 threaded deadlines and cancellation through the library by adding a
-// `cancel` (and sometimes `time_limit_ms`) field to every options struct:
-// PtasOptions, ParallelDpOptions, MipOptions, FeasibilitySearchLimits,
-// ResilientOptions, SolveRequest all re-declared the same three knobs, and
-// every driver (CLI, resilient ladder, solve service) re-implemented the
-// "link my deadline under the caller's token" dance by hand. SolveContext
-// consolidates them: one value type accepted by every solver entry point
-// (`Solver::solve(instance, context)`), threaded once.
+// Every solver entry point (`Solver::solve(instance, context)`) accepts it,
+// so no options struct re-declares these knobs and no driver (CLI, resilient
+// ladder, solve service, portfolio) links deadlines under tokens by hand.
 //
 //  * cancel / deadline — the cooperative stop signal and the wall-clock
 //    budget it enforces. `effective_token()` links them, observing (never
@@ -25,10 +20,6 @@
 //    FaultScope semantics), so only single-driver processes — the CLI,
 //    benches, tests — should set them; concurrent services leave them null
 //    and install their own scopes at process level.
-//
-// The legacy per-struct fields keep working through thin back-compat shims:
-// the v1 `solve(instance)` path forwards them and stamps a one-time
-// deprecation note into SolverResult::notes (see note_deprecated_field).
 #pragma once
 
 #include <atomic>
@@ -36,7 +27,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <string>
 
 #include "core/instance.hpp"
 #include "obs/metrics.hpp"
@@ -44,8 +34,6 @@
 #include "util/fault.hpp"
 
 namespace pcmax {
-
-struct SolverResult;
 
 /// Shared best-known-makespan board for cooperating solvers (the portfolio's
 /// racers, or any caller that wants to seed a solver with a known bound).
@@ -110,7 +98,7 @@ struct SolveContext {
   static SolveContext unlimited() { return {}; }
 
   /// A context whose deadline expires `ms` milliseconds from now
-  /// (0 = unlimited, matching the legacy time_limit_ms convention).
+  /// (0 = unlimited).
   static SolveContext with_time_limit_ms(std::int64_t ms);
 
   /// A context observing an existing token, with no own deadline.
@@ -153,16 +141,5 @@ class ContextScopes {
   std::optional<FaultScope> fault_;
   std::optional<obs::MetricsScope> metrics_;
 };
-
-/// Back-compat shim support: stamps `result.notes["deprecation.<field>"]`
-/// the FIRST time `field` is seen in this process and returns true; later
-/// calls for the same field are silent no-ops (one-time semantics, so hot
-/// callers are not spammed). Thread-safe.
-bool note_deprecated_field(SolverResult& result, const std::string& field,
-                           const std::string& replacement);
-
-/// Clears the process-wide "already warned" set so tests can assert the
-/// note deterministically.
-void reset_deprecation_notes_for_testing();
 
 }  // namespace pcmax

@@ -34,6 +34,8 @@ struct FeasibilitySearchLimits {
   double max_seconds = 30.0;             ///< wall-clock budget
   /// Cooperative stop signal: a cancel counts as an exhausted budget, so the
   /// probe answers kUnknown rather than throwing (three-valued semantics).
+  /// ExactSolver sets it from SolveContext.cancel and rejects a caller-set
+  /// token.
   CancellationToken cancel;
 };
 

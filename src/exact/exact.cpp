@@ -7,29 +7,23 @@
 #include "algo/multifit.hpp"
 #include "core/bounds.hpp"
 #include "obs/metrics.hpp"
+#include "util/error.hpp"
 #include "util/stopwatch.hpp"
 
 namespace pcmax {
 
-ExactSolver::ExactSolver(ExactSolverOptions options) : options_(options) {}
+ExactSolver::ExactSolver(ExactSolverOptions options) : options_(options) {
+  PCMAX_REQUIRE(!options_.probe_limits.cancel.valid(),
+                "ExactSolverOptions.probe_limits.cancel is not read by "
+                "ExactSolver; pass the stop signal as SolveContext.cancel");
+}
 
 SolverResult ExactSolver::solve(const Instance& instance) {
-  SolveContext context = SolveContext::with_token(options_.probe_limits.cancel);
-  SolverResult result = solve_impl(instance, context);
-  if (options_.probe_limits.cancel.valid()) {
-    note_deprecated_field(result, "ExactSolverOptions.probe_limits.cancel",
-                          "SolveContext.cancel");
-  }
-  return result;
+  return solve(instance, SolveContext{});
 }
 
 SolverResult ExactSolver::solve(const Instance& instance,
                                 const SolveContext& context) {
-  return solve_impl(instance, context);
-}
-
-SolverResult ExactSolver::solve_impl(const Instance& instance,
-                                     const SolveContext& context) {
   Stopwatch sw;
   const ContextScopes scopes(context);
   SolverResult result;

@@ -15,11 +15,8 @@ namespace pcmax {
 
 /// Configuration of the exact solver.
 struct ExactSolverOptions {
-  /// Budgets applied to each feasibility probe. The `cancel` member is
-  /// DEPRECATED as a solver-level stop signal (API v2): pass it via
-  /// SolveContext.cancel and call solve(instance, context) instead. The
-  /// legacy solve(instance) path still honours it and stamps a one-time
-  /// deprecation note into SolverResult::notes.
+  /// Budgets applied to each feasibility probe. Leave `cancel` unset: the
+  /// solver's stop signal is SolveContext.cancel.
   FeasibilitySearchLimits probe_limits;
   /// Overall wall-clock budget across all probes; once exceeded the solver
   /// returns the incumbent without optimality proof.
@@ -37,6 +34,7 @@ struct ExactSolverOptions {
 /// notes["certified_value"] even when its own schedule is worse.
 class ExactSolver final : public Solver {
  public:
+  /// Throws InvalidArgumentError when options.probe_limits.cancel is set.
   explicit ExactSolver(ExactSolverOptions options = {});
 
   [[nodiscard]] std::string name() const override { return "IP"; }
@@ -45,9 +43,6 @@ class ExactSolver final : public Solver {
                      const SolveContext& context) override;
 
  private:
-  SolverResult solve_impl(const Instance& instance,
-                          const SolveContext& context);
-
   ExactSolverOptions options_;
 };
 

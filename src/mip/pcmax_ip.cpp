@@ -7,6 +7,7 @@
 #include "algo/lpt.hpp"
 #include "core/bounds.hpp"
 #include "obs/metrics.hpp"
+#include "util/deadline.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/stopwatch.hpp"
@@ -141,8 +142,7 @@ struct MipSearch {
   const Instance& instance;
   const MipOptions& options;
   Deadline deadline;
-  /// Effective stop signal: the context token (v2) or the deprecated
-  /// MipOptions.cancel lifted into a context (v1).
+  /// Effective stop signal: the context's effective_token().
   CancellationToken stop;
   /// Shared incumbent board from the context; publish-side handle.
   std::shared_ptr<IncumbentBoard> board;
@@ -295,21 +295,11 @@ struct MipSearch {
 PcmaxIpSolver::PcmaxIpSolver(MipOptions options) : options_(options) {}
 
 SolverResult PcmaxIpSolver::solve(const Instance& instance) {
-  SolveContext context = SolveContext::with_token(options_.cancel);
-  SolverResult result = solve_impl(instance, context);
-  if (options_.cancel.valid()) {
-    note_deprecated_field(result, "MipOptions.cancel", "SolveContext.cancel");
-  }
-  return result;
+  return solve(instance, SolveContext{});
 }
 
 SolverResult PcmaxIpSolver::solve(const Instance& instance,
                                   const SolveContext& context) {
-  return solve_impl(instance, context);
-}
-
-SolverResult PcmaxIpSolver::solve_impl(const Instance& instance,
-                                       const SolveContext& context) {
   if (instance.machines() > 64) {
     // The forbidden sets are 64-bit masks; more machines than bits is a
     // structural capacity limit, reported in the uniform format.

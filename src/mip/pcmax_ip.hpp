@@ -16,7 +16,6 @@
 
 #include "core/solver.hpp"
 #include "mip/lp.hpp"
-#include "util/deadline.hpp"
 
 namespace pcmax {
 
@@ -29,12 +28,6 @@ struct MipOptions {
   std::uint64_t max_nodes = 200'000;
   double max_seconds = 60.0;
   LpOptions lp;
-  /// DEPRECATED (API v2): pass the stop signal via SolveContext.cancel and
-  /// call solve(instance, context) instead. Still honoured by the legacy
-  /// solve(instance) path, which stamps a one-time deprecation note into
-  /// SolverResult::notes. Semantics unchanged: polled per node (flag) with
-  /// the wall clock sampled at an amortised interval.
-  CancellationToken cancel;
 };
 
 /// Branch-and-bound MILP solver for the P||Cmax integer program.
@@ -58,9 +51,6 @@ class PcmaxIpSolver final : public Solver {
                      const SolveContext& context) override;
 
  private:
-  SolverResult solve_impl(const Instance& instance,
-                          const SolveContext& context);
-
   MipOptions options_;
 };
 

@@ -1,9 +1,8 @@
 // The "pcmax.batch.v1" machine-readable batch report.
 //
-// One schema shared by the CLI (`pcmax batch --json`), the service
-// throughput bench (BENCH_service.json embeds one report per arm), and the
-// golden-file test (tests/service_golden_test.cpp) — so the report layout is
-// pinned in exactly one place. Key order is insertion order (util/json keeps
+// One schema shared by the CLI (`pcmax batch --json`) and the golden-file
+// test (tests/service_golden_test.cpp), so the report layout is pinned in
+// exactly one place. Key order is insertion order (util/json keeps
 // objects ordered), which is what makes the dump golden-testable.
 //
 // Layout:

@@ -407,9 +407,7 @@ SolveResponse ServiceShard::cheap_solve(Pending& pending,
 SolveResponse ServiceShard::run_solver(Pending& pending, Tier tier,
                                        const std::string& forced_reason) {
   const CanonicalInstance& canonical = *pending.canonical;
-  // API v2: the stop signal rides in a SolveContext instead of the solver
-  // option structs (whose cancel fields are deprecated — using them here
-  // would stamp deprecation notes into every response).
+  // The request's stop signal (its cancel token under its deadline).
   SolveContext context = SolveContext::with_token(pending.token);
 
   const ExecutorLanes::Lease lease = lanes_->acquire();

@@ -147,4 +147,13 @@ std::string CliParser::usage() const {
   return os.str();
 }
 
+int run_main(const std::function<int()>& body) {
+  try {
+    return body();
+  } catch (const Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
+}
+
 }  // namespace pcmax

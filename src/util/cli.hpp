@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -57,5 +58,10 @@ class CliParser {
   std::map<std::string, Flag> flags_;
   std::vector<std::string> order_;  // registration order, for usage()
 };
+
+/// Runs a binary's main body. A pcmax::Error escaping it (a malformed flag,
+/// an invalid option value) prints `error: <what>` to stderr and returns 1
+/// instead of terminating the process.
+int run_main(const std::function<int()>& body);
 
 }  // namespace pcmax

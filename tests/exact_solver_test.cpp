@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/bounds.hpp"
 #include "core/instance_gen.hpp"
 #include "exact/bin_feasibility.hpp"
@@ -132,6 +134,19 @@ TEST(ExactSolver, ReportsSearchStats) {
   EXPECT_GE(result.stats.at("probes"), 0.0);
   EXPECT_GE(result.stats.at("lower_bound"), 1.0);
   EXPECT_EQ(result.stats.at("lower_bound"), static_cast<double>(result.makespan));
+}
+
+TEST(ExactSolver, RejectsACallerSetProbeToken) {
+  ExactSolverOptions options;
+  options.probe_limits.cancel = CancellationToken::make();
+  try {
+    (void)ExactSolver(options);
+    FAIL() << "expected InvalidArgumentError";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find("SolveContext.cancel"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ExactSolver, NameIsIP) {

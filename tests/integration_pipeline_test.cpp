@@ -5,8 +5,10 @@
 // actually runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "pcmax.hpp"
 
@@ -102,6 +104,68 @@ TEST(IntegrationPipeline, ImprovedBoundsAgreeWithEverySolverStack) {
     EXPECT_EQ(subset, exact);
     EXPECT_EQ(exact, milp);
     EXPECT_LE(improved_lower_bound(instance), subset);
+  }
+}
+
+TEST(IntegrationPipeline, PortfolioRaceBeatsEveryRacerAndReplaysOnEveryFamily) {
+  // The auto-selected sequential race against each racer run standalone,
+  // on every family at m=3, n=12. Not in a sanitizer tree: the wall-clock
+  // bound would measure the sanitizer.
+  PortfolioOptions options;
+  options.build.epsilon = 0.3;
+  options.build.exact_seconds = 1.0;
+  options.max_concurrent = 1;  // deterministic sequential race
+  for (const InstanceFamily family : all_families()) {
+    SCOPED_TRACE(family_name(family));
+    const Instance instance = generate_instance(family, 3, 12, 42, 0);
+
+    // Each racer standalone: fresh unlimited context, no board. A racer
+    // that cannot handle the shape loses inside the race too, so it only
+    // adds its time.
+    Time best_racer = IncumbentBoard::kNone;
+    double standalone_seconds = 0.0;
+    for (const std::string& name : select_racers(instance, options)) {
+      Stopwatch sw;
+      try {
+        const SolverResult result =
+            SolverRegistry::global().create(name, options.build)->solve(
+                instance, SolveContext::unlimited());
+        result.schedule.validate(instance);
+        best_racer = std::min(best_racer, result.makespan);
+      } catch (const Error&) {
+      }
+      standalone_seconds += sw.elapsed_seconds();
+    }
+
+    Stopwatch race_sw;
+    const PortfolioResult raced =
+        PortfolioSolver(options).race(instance, SolveContext::unlimited());
+    const double race_seconds = race_sw.elapsed_seconds();
+    raced.schedule.validate(instance);
+
+    // Racing with a shared incumbent never loses to any single racer.
+    EXPECT_LE(raced.makespan, best_racer);
+
+    // The winner, re-run alone on a fresh board seeded with its recorded
+    // start bound, reproduces the raced schedule byte for byte.
+    const auto winner =
+        std::find_if(raced.racers.begin(), raced.racers.end(),
+                     [&](const RacerReport& r) { return r.name == raced.winner; });
+    ASSERT_NE(winner, raced.racers.end());
+    SolveContext replay_context;
+    replay_context.incumbent = std::make_shared<IncumbentBoard>();
+    if (winner->start_bound != IncumbentBoard::kNone) {
+      replay_context.incumbent->publish(winner->start_bound);
+    }
+    const SolverResult replay =
+        SolverRegistry::global().create(raced.winner, options.build)->solve(
+            instance, replay_context);
+    EXPECT_EQ(replay.makespan, raced.makespan);
+    EXPECT_EQ(replay.schedule, raced.schedule);
+
+    // Racing costs at most 1.15x of running every racer yourself, plus
+    // 5 ms for thread and board bookkeeping.
+    EXPECT_LE(race_seconds, 1.15 * standalone_seconds + 0.005);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -48,6 +49,22 @@ TEST(PtasSolver, ParallelEnginesRequireAnExecutor) {
   options.engine = DpEngine::kParallelBucketed;
   options.executor = nullptr;
   EXPECT_THROW(PtasSolver{options}, InvalidArgumentError);
+}
+
+TEST(PtasSolver, RejectsACallerSetProbeToken) {
+  // The solve overwrites limits.cancel with the context's token, so a
+  // caller's token there would be ignored; the constructor says where it
+  // belongs instead.
+  PtasOptions options;
+  options.limits.cancel = CancellationToken::make();
+  try {
+    (void)PtasSolver(options);
+    FAIL() << "expected InvalidArgumentError";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find("SolveContext.cancel"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PtasSolver, SolvesTheQuickstartInstanceWithinTheGuarantee) {

@@ -66,15 +66,6 @@ TEST(ResilientSolver, ExpiredDeadlineStillReturnsAValidSchedule) {
   EXPECT_LE(result.makespan, lpt.makespan);
 }
 
-TEST(ResilientSolver, TimeLimitOptionLayersADeadline) {
-  const Instance instance = small_instance();
-  ResilientOptions options;
-  options.time_limit_ms = 3'600'000;  // an hour: never trips
-  const SolverResult result = ResilientSolver(options).solve(instance);
-  result.schedule.validate(instance);
-  EXPECT_EQ(result.notes.at("degradation_reason"), "none");
-}
-
 TEST(ResilientSolver, ExternalCancelBeforeSolveFallsBack) {
   const Instance instance = small_instance();
   CancellationToken token = CancellationToken::make();
@@ -237,9 +228,6 @@ TEST(ResilientSolver, ConcurrentSolvesKeepProvenanceConsistent) {
 }
 
 TEST(ResilientSolver, RejectsBadOptions) {
-  ResilientOptions negative_limit;
-  negative_limit.time_limit_ms = -5;
-  EXPECT_THROW((void)ResilientSolver(negative_limit), InvalidArgumentError);
   ResilientOptions zero_multifit;
   zero_multifit.multifit_iterations = 0;
   EXPECT_THROW((void)ResilientSolver(zero_multifit), InvalidArgumentError);

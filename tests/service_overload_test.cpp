@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
@@ -240,48 +241,60 @@ TEST(ServiceOverload, CoalescingSharesOneInflightSolve) {
   }
 
   // Freeze the leader INSIDE its solve: leadership is registered before
-  // run_solver, so every duplicate dispatched meanwhile must park.
-  GateHandler gate("bisection.probe");
-  FaultScope scope(gate);
-  ServiceOptions options;
-  options.workers = 4;
-  options.queue_capacity = 32;
-  SolveService service(options);
+  // run_solver, so every duplicate dispatched meanwhile must park. Every
+  // duplicate routes to the leader's shard, so coalescing must fire at each
+  // shard count as long as that shard has more than one worker.
+  for (const unsigned shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    GateHandler gate("bisection.probe");
+    FaultScope scope(gate);
+    ServiceOptions options;
+    options.shards = shards;
+    options.workers = 4 * shards;
+    options.queue_capacity = 32;
+    SolveService service(options);
 
-  std::vector<SolveFuture> futures;
-  futures.push_back(service.submit(SolveRequest{instance}));
-  gate.wait_until_blocked();
-  constexpr int kFollowers = 7;
-  for (int i = 0; i < kFollowers; ++i) {
+    std::vector<SolveFuture> futures;
     futures.push_back(service.submit(SolveRequest{instance}));
-  }
-  // Every follower probes the cache (miss) exactly once before parking:
-  // misses reaching 1 + kFollowers means all of them are parked.
-  while (service.stats().cache.misses <
-         static_cast<std::uint64_t>(1 + kFollowers)) {
-    std::this_thread::yield();
-  }
-  gate.release();
-
-  int coalesced = 0;
-  for (SolveFuture& future : futures) {
-    const SolveResponse response = future.get();
-    EXPECT_EQ(response.degradation_reason, "none");
-    EXPECT_EQ(response.makespan, canonical_response.makespan);
-    EXPECT_EQ(response.schedule.assignment(instance),
-              canonical_response.schedule.assignment(instance));
-    EXPECT_FALSE(response.cache_hit);
-    if (response.coalesced) {
-      ++coalesced;
-      EXPECT_EQ(response.notes.at("cache"), "coalesced");
+    gate.wait_until_blocked();
+    constexpr int kFollowers = 7;
+    for (int i = 0; i < kFollowers; ++i) {
+      futures.push_back(service.submit(SolveRequest{instance}));
     }
-    response.schedule.validate(instance);
+    // Every follower probes the cache (miss) exactly once before parking:
+    // misses reaching 1 + kFollowers means all of them are parked. A
+    // follower that does not park solves and caches the key, so the later
+    // ones hit and the count stalls; the wait gives up after 10 s, and the
+    // checks below fail instead of the test hanging.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (service.stats().cache.misses <
+               static_cast<std::uint64_t>(1 + kFollowers) &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    gate.release();
+
+    int coalesced = 0;
+    for (SolveFuture& future : futures) {
+      const SolveResponse response = future.get();
+      EXPECT_EQ(response.degradation_reason, "none");
+      EXPECT_EQ(response.makespan, canonical_response.makespan);
+      EXPECT_EQ(response.schedule.assignment(instance),
+                canonical_response.schedule.assignment(instance));
+      EXPECT_FALSE(response.cache_hit);
+      if (response.coalesced) {
+        ++coalesced;
+        EXPECT_EQ(response.notes.at("cache"), "coalesced");
+      }
+      response.schedule.validate(instance);
+    }
+    EXPECT_EQ(coalesced, kFollowers);
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.coalesced, static_cast<std::uint64_t>(kFollowers));
+    // One solve, one cache store: misses reflect probes, not extra solves.
+    EXPECT_EQ(stats.cache.misses, static_cast<std::uint64_t>(1 + kFollowers));
   }
-  EXPECT_EQ(coalesced, kFollowers);
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.coalesced, static_cast<std::uint64_t>(kFollowers));
-  // One solve, one cache store: misses reflect probes, not extra solves.
-  EXPECT_EQ(stats.cache.misses, static_cast<std::uint64_t>(1 + kFollowers));
 }
 
 TEST(ServiceOverload, CoalescingOffSolvesEveryDuplicate) {

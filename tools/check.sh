@@ -13,16 +13,13 @@
 #
 # The Release run repeats the `bench-smoke`, `service`, `service-sharded`,
 # `chaos`, `variants`, and `headers` labels explicitly at the end so bench
-# bit-rot
-# (flag parsing, JSON export), batch-service regressions, sharding
-# equivalence drift (the differential byte-equality blitz in
-# tests/service_shard_equivalence_test.cpp plus the SolveFuture suite),
-# chaos-harness drift (the soak in tests/chaos_soak_test.cpp storms every
-# registered fault site), and non-self-contained public headers
+# bit-rot (flag parsing, the paper replay, JSON export), batch-service
+# regressions, sharding equivalence drift (the differential byte-equality
+# blitz in tests/service_shard_equivalence_test.cpp plus the SolveFuture
+# suite), chaos-harness drift (the soak in tests/chaos_soak_test.cpp storms
+# every registered fault site), and non-self-contained public headers
 # (tools/check_headers.sh) fail loudly even when someone trims the main
-# ctest invocation. bench-smoke includes service_storm — both the
-# single-shard arm and the sharded arm with its scale section — behind
-# BENCH_storm.json. The TSan tree picks the chaos soak and the async
+# ctest invocation. The TSan tree picks the chaos soak and the async
 # SolveFuture stress up twice: they carry `sanitize` alongside their own
 # labels. It also repeats the team-episode tests (Executor::run_team, the
 # spin-then-block Barrier, the team DP sweep) three times.

@@ -194,8 +194,7 @@ int cmd_solve(int argc, const char* const* argv) {
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const Instance& instance = instances[i];
     // A fresh per-instance context: each instance gets the full wall-clock
-    // budget (0 = unlimited), enforced through the v2 SolveContext instead
-    // of the deprecated per-struct cancel fields.
+    // budget (0 = unlimited).
     const SolverResult result =
         solver->solve(instance, SolveContext::with_time_limit_ms(time_limit_ms));
     result.schedule.validate(instance);
@@ -576,7 +575,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string command = argv[1];
-  try {
+  return run_main([&] {
     if (command == "generate") return cmd_generate(argc - 1, argv + 1);
     if (command == "solve") return cmd_solve(argc - 1, argv + 1);
     if (command == "race") return cmd_race(argc - 1, argv + 1);
@@ -584,8 +583,5 @@ int main(int argc, char** argv) {
     if (command == "info") return cmd_info(argc - 1, argv + 1);
     std::cerr << "unknown command '" << command << "'\n" << usage;
     return 2;
-  } catch (const Error& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
+  });
 }
