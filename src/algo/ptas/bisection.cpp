@@ -53,14 +53,30 @@ DpAtTarget run_dp_at(const Instance& instance, Time target, int k,
                     std::move(run)};
 }
 
+BisectionIteration trace_row(const DpAtTarget& at, bool feasible, double dp_seconds) {
+  BisectionIteration row;
+  row.target = at.rounded.params.target;
+  row.feasible = feasible;
+  row.counts = at.rounded.class_count;
+  row.table_size = at.space.size();
+  row.config_count = at.configs.count();
+  row.entries_computed = at.run.stats.entries_computed;
+  row.config_scans = at.run.stats.config_scans;
+  row.configs_pruned = at.run.stats.configs_pruned;
+  row.simd_blocks = at.run.stats.simd_blocks;
+  row.scalar_fallbacks = at.run.stats.scalar_fallbacks;
+  row.dp_seconds = dp_seconds;
+  return row;
+}
+
 SearchBracket paper_search_bracket(const Instance& instance) {
   return {makespan_lower_bound(instance), makespan_upper_bound(instance)};
 }
 
-BisectionResult bisect_target_makespan(const Instance& instance, int k,
-                                       const DpBackendFn& dp,
-                                       const DpLimits& limits,
-                                       SearchBracket start) {
+BisectionResult bisect_target_makespan(
+    const Instance& instance, int k, const DpBackendFn& dp,
+    const DpLimits& limits, SearchBracket start,
+    std::optional<DpAtTarget>* last_feasible) {
   PCMAX_REQUIRE(start.lb <= start.ub, "search bracket is inverted");
   BisectionResult result;
   result.lb0 = makespan_lower_bound(instance);
@@ -71,32 +87,22 @@ BisectionResult bisect_target_makespan(const Instance& instance, int k,
                                            &result.incumbent_clamped);
   result.lb_start = lb;
   result.ub_start = ub;
+  if (last_feasible != nullptr) last_feasible->reset();
   while (lb < ub) {
     const Time target = lb + (ub - lb) / 2;
     Stopwatch sw;
-    const DpAtTarget at = run_dp_at(instance, target, k, dp, limits);
+    DpAtTarget at = run_dp_at(instance, target, k, dp, limits);
     const double seconds = sw.elapsed_seconds();
 
     const bool feasible =
         at.run.machines_needed != DpTable::kInfeasible &&
         at.run.machines_needed <= instance.machines();
 
-    BisectionIteration iteration;
-    iteration.target = target;
-    iteration.feasible = feasible;
-    iteration.counts = at.rounded.class_count;
-    iteration.table_size = at.space.size();
-    iteration.config_count = at.configs.count();
-    iteration.entries_computed = at.run.stats.entries_computed;
-    iteration.config_scans = at.run.stats.config_scans;
-    iteration.configs_pruned = at.run.stats.configs_pruned;
-    iteration.simd_blocks = at.run.stats.simd_blocks;
-    iteration.scalar_fallbacks = at.run.stats.scalar_fallbacks;
-    iteration.dp_seconds = seconds;
-    result.trace.push_back(std::move(iteration));
+    result.trace.push_back(trace_row(at, feasible, seconds));
 
     if (feasible) {
       ub = target;  // a schedule within T exists (paper Line 28)
+      if (last_feasible != nullptr) last_feasible->emplace(std::move(at));
     } else {
       lb = target + 1;  // no schedule of length T exists (paper Line 30)
     }

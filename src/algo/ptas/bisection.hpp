@@ -3,13 +3,15 @@
 // The driver probes candidate makespans T in [LB, UB]; for each T it rounds
 // the long jobs, runs a DP backend, and keeps T feasible iff the DP needs at
 // most m machines. It records a per-iteration trace that the experiment
-// harness replays on the simulated multicore (see src/harness/simmachine).
+// harness replays on the simulated multicore (see src/harness/simmachine),
+// and can hand back the last feasible probe, whose table at T* is what the
+// schedule is reconstructed from.
 #pragma once
 
 #include <functional>
-#include <vector>
-
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "algo/ptas/config_enum.hpp"
 #include "algo/ptas/dp_sequential.hpp"
@@ -78,6 +80,9 @@ struct BisectionIteration {
   double dp_seconds = 0.0;     ///< wall time of the DP probe
 };
 
+/// The trace row of the probe `at` at its target, which took `dp_seconds`.
+BisectionIteration trace_row(const DpAtTarget& at, bool feasible, double dp_seconds);
+
 /// Result of the bisection search.
 struct BisectionResult {
   Time t_star = 0;  ///< smallest DP-feasible target found (LB == UB)
@@ -107,9 +112,14 @@ struct SearchBracket {
 SearchBracket paper_search_bracket(const Instance& instance);
 
 /// Runs the bisection loop of Algorithm 1 with the supplied DP backend over
-/// `start` (its ub clamped to the incumbent board, if any).
-BisectionResult bisect_target_makespan(const Instance& instance, int k,
-                                       const DpBackendFn& dp, const DpLimits& limits,
-                                       SearchBracket start);
+/// `start` (its ub clamped to the incumbent board, if any). When
+/// `last_feasible` is set, it receives the last feasible probe, whose target
+/// is T*, or stays empty when no probe was feasible (T* is then the
+/// bracket's upper end). Only that one probe is kept alive; without
+/// `last_feasible` every probe is dropped once read.
+BisectionResult bisect_target_makespan(
+    const Instance& instance, int k, const DpBackendFn& dp,
+    const DpLimits& limits, SearchBracket start,
+    std::optional<DpAtTarget>* last_feasible = nullptr);
 
 }  // namespace pcmax

@@ -100,17 +100,16 @@ inline void process_entry(std::size_t index, std::span<const int> v, int level,
                           const ConfigSet& configs, DpKernel kernel,
                           DpTable& table, WorkerCounters& counters) {
   if (index == 0) {
-    table.set(0, 0, DpTable::kNoChoice);  // OPT(0,...,0) = 0
+    table.set(0, 0);  // OPT(0,...,0) = 0
     ++counters.entries;
     return;
   }
-  const EntryResult entry =
-      kernel == DpKernel::kPerEntryEnum
-          ? compute_entry_enumerated(index, v, rounded, space,
-                                     table.values_data(), counters.scan.scans)
-          : compute_entry(index, v, level, configs, table.values_data(),
-                          counters.scan, kernel);
-  table.set(index, entry.value, entry.choice);
+  table.set(index,
+            kernel == DpKernel::kPerEntryEnum
+                ? compute_entry_enumerated(index, v, rounded, space,
+                                           table.values_data(), counters.scan.scans)
+                : compute_entry(index, v, level, configs, table.values_data(),
+                                counters.scan, kernel));
   ++counters.entries;
 }
 
@@ -288,8 +287,7 @@ void run_level_sweep(const RoundedInstance& rounded, const StateSpace& space,
 DpRun dp_parallel(const RoundedInstance& rounded, const StateSpace& space,
                   const ConfigSet& configs, const ParallelDpOptions& options) {
   const DpKernel kernel = resolve_dp_kernel(options.kernel);
-  DpRun run{DpTable(space.size(), options.table_mode),
-            DpTable::kInfeasible, DpStats{}};
+  DpRun run{DpTable(space.size()), DpTable::kInfeasible, DpStats{}};
   run.stats.table_size = space.size();
   run.stats.config_count = configs.count();
   run.stats.levels = space.max_level() + 1;

@@ -18,8 +18,8 @@
 //    between levels. Same results, no per-level scan, and one hand-off per
 //    fill, not per level.
 //
-// Both visit every entry once and the kernel's argmin is canonical, so both
-// fill the table dp_bottom_up fills.
+// Both visit every entry once and every kernel computes the same minimum,
+// so both fill the table dp_bottom_up fills.
 #pragma once
 
 #include <cstdint>
@@ -50,9 +50,8 @@ struct ParallelDpOptions {
   /// or the paper-faithful per-entry configuration enumeration (Alg. 3
   /// Line 17). Resolved once per run; recorded in DpStats::kernel.
   DpKernel kernel = DpKernel::kGlobalConfigs;
-  /// Values-only tables skip the choice array — sufficient for feasibility
-  /// probes that only read OPT(N).
-  DpTableMode table_mode = DpTableMode::kValuesAndChoices;
+  /// Nothing reads this; pcmaxbench's next change drops it.
+  DpTableMode table_mode = DpTableMode::kValuesOnly;
   /// Cooperative stop signal, polled once per level and (amortised) inside
   /// every range chunk, so a cancel is honoured within one anti-diagonal.
   /// The DP is all-or-nothing: a stop throws DeadlineExceededError /
@@ -71,9 +70,8 @@ std::vector<std::int32_t> compute_levels(const StateSpace& space, Executor& exec
                                          const CancellationToken& cancel = {});
 
 /// Runs the level-synchronised parallel DP. Produces a table identical to
-/// dp_bottom_up (values and canonical argmin choices are deterministic —
-/// min predecessor value, ties towards the smallest encoded offset —
-/// independent of worker interleaving and iteration order).
+/// dp_bottom_up: each value is a minimum over the same predecessors,
+/// independent of worker interleaving and iteration order.
 DpRun dp_parallel(const RoundedInstance& rounded, const StateSpace& space,
                   const ConfigSet& configs, const ParallelDpOptions& options);
 

@@ -10,8 +10,7 @@ namespace pcmax {
 DpRun dp_bottom_up(const RoundedInstance& rounded, const StateSpace& space,
                    const ConfigSet& configs, const DpOptions& options) {
   const DpKernel kernel = resolve_dp_kernel(options.kernel);
-  DpRun run{DpTable(space.size(), options.mode),
-            DpTable::kInfeasible, DpStats{}};
+  DpRun run{DpTable(space.size()), DpTable::kInfeasible, DpStats{}};
   run.stats.table_size = space.size();
   run.stats.config_count = configs.count();
   run.stats.levels = space.max_level() + 1;
@@ -19,7 +18,7 @@ DpRun dp_bottom_up(const RoundedInstance& rounded, const StateSpace& space,
   obs::DpRunRecorder recorder("bottom-up", "-", space.size(),
                               space.max_level() + 1);
 
-  run.table.set(0, 0, DpTable::kNoChoice);  // OPT(0,...,0) = 0
+  run.table.set(0, 0);  // OPT(0,...,0) = 0
   ++run.stats.entries_computed;
 
   // Odometer-maintained digits (and their sum, the entry's anti-diagonal
@@ -51,13 +50,12 @@ DpRun dp_bottom_up(const RoundedInstance& rounded, const StateSpace& space,
         first_offset <= index + 1) {
       __builtin_prefetch(values + (index + 1 - first_offset));
     }
-    const EntryResult entry =
-        kernel == DpKernel::kPerEntryEnum
-            ? compute_entry_enumerated(index, digits, rounded, space, values,
-                                       counters.scans)
-            : compute_entry(index, digits, level, configs, values, counters,
-                            kernel);
-    run.table.set(index, entry.value, entry.choice);
+    run.table.set(index,
+                  kernel == DpKernel::kPerEntryEnum
+                      ? compute_entry_enumerated(index, digits, rounded, space,
+                                                 values, counters.scans)
+                      : compute_entry(index, digits, level, configs, values,
+                                      counters, kernel));
     ++run.stats.entries_computed;
   }
 

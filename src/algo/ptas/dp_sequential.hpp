@@ -11,7 +11,8 @@
 
 namespace pcmax {
 
-/// Result of one DP run: OPT(N) plus the table for reconstruction.
+/// Result of one DP run: OPT(N) plus the values table, which a feasible
+/// run's reconstruction walks back (reconstruct.hpp).
 struct DpRun {
   DpTable table;
   std::int32_t machines_needed = DpTable::kInfeasible;  ///< OPT(N)
@@ -22,17 +23,17 @@ struct DpRun {
 /// start (resolve_dp_kernel) and recorded in DpStats::kernel.
 struct DpOptions {
   DpKernel kernel = DpKernel::kGlobalConfigs;
-  DpTableMode mode = DpTableMode::kValuesAndChoices;
+  /// Nothing reads this; pcmaxbench's next change drops it.
+  DpTableMode mode = DpTableMode::kValuesOnly;
   CancellationToken cancel = {};
 };
 
 /// Bottom-up fill of the whole table in row-major order. `options.kernel`
 /// selects the configuration-scan kernel (kGlobalConfigs resolves to the
 /// fastest one the host supports; kPerEntryEnum replays the paper-faithful
-/// per-entry enumeration) and `options.mode` the choice storage (identical
-/// values either way, and identical canonical choices whenever they are
-/// stored). A cancelled `options.cancel` token throws (amortised check
-/// every ~1k entries); the fill is all-or-nothing.
+/// per-entry enumeration; every kernel fills identical values). A cancelled
+/// `options.cancel` token throws (amortised check every ~1k entries); the
+/// fill is all-or-nothing.
 DpRun dp_bottom_up(const RoundedInstance& rounded, const StateSpace& space,
                    const ConfigSet& configs, const DpOptions& options = {});
 

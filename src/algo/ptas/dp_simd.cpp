@@ -2,15 +2,10 @@
 //
 // The AVX2 kernel vectorises the whole per-entry consider loop, not just
 // the fits test: each 256-bit iteration packs 4 config words (32 digit
-// bytes), computes the SWAR subtract+mask fits test
-// bytewise, gathers the predecessor values of the fitting lanes with a
-// masked gather, and folds (value << 32 | offset) keys through a vector
-// signed-64 min. The key encoding makes the canonical argmin (min value,
-// ties to smallest encoded offset) a plain integer min: predecessor
-// values are non-negative int32s, so every key is non-negative and the
-// signed vector min equals the lexicographic (value, offset) order. Lanes
-// that fail the fits test are blended to INT64_MAX, which conveniently
-// decodes to {kInfeasible, kNoChoice} — no special-casing anywhere.
+// bytes), computes the SWAR subtract+mask fits test bytewise, gathers the
+// predecessor values of the fitting lanes with a masked gather, and folds
+// them through a 32-bit vector min. Lanes that fail the fits test keep the
+// gather's kInfeasible source value, so they never win the min.
 //
 // The kernel carries a per-function target attribute instead of a global
 // -mavx2 flag, so one binary holds every kernel and select_best_kernel()
@@ -76,34 +71,19 @@ namespace detail {
 
 #if defined(PCMAX_SIMD_X86)
 
-namespace {
-// Folds a decoded (value, choice) candidate into the running canonical
-// argmin — the same predicate swar_scan_range applies per config.
-inline void fold_candidate(std::int32_t value, std::int32_t choice,
-                           std::int32_t& best, std::int32_t& best_choice) {
-  if (value < best || (value == best && choice < best_choice)) {
-    best = value;
-    best_choice = choice;
-  }
-}
-}  // namespace
-
 __attribute__((target("avx2"))) void entry_scan_avx2(
     std::size_t index, std::uint64_t pvh, const std::uint64_t* packed,
     const std::size_t* offsets, const std::int32_t* values, std::size_t count,
-    std::uint64_t& simd_blocks, std::int32_t& best,
-    std::int32_t& best_choice) {
+    std::uint64_t& simd_blocks, std::int32_t& best) {
   constexpr std::size_t kWidth = 4;  // 4 config words per 256-bit vector
   const __m256i vpvh = _mm256_set1_epi64x(static_cast<long long>(pvh));
   const __m256i vhigh = _mm256_set1_epi64x(static_cast<long long>(kSwarHigh));
   const __m256i vindex = _mm256_set1_epi64x(static_cast<long long>(index));
-  const __m256i vsentinel = _mm256_set1_epi64x(INT64_MAX);
-  const __m256i vlow32 = _mm256_set1_epi64x(0xFFFFFFFFll);
   // Moves the low dword of each fits qword into the low 128 bits, turning
   // the 4x64-bit fits mask into the 4x32-bit mask the gather expects.
   const __m256i vpick = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
-  const __m128i vinf128 = _mm_set1_epi32(DpTable::kInfeasible);
-  __m256i vbest = vsentinel;
+  const __m128i vinf = _mm_set1_epi32(DpTable::kInfeasible);
+  __m128i vbest = vinf;
   const std::size_t blocks = count / kWidth;
   for (std::size_t b = 0; b < blocks; ++b) {
     const std::size_t c = b * kWidth;
@@ -121,31 +101,15 @@ __attribute__((target("avx2"))) void entry_scan_avx2(
     const __m256i vpred_idx = _mm256_sub_epi64(vindex, voffs);
     const __m128i mask128 =
         _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(fits, vpick));
-    const __m128i gathered =
-        _mm256_mask_i64gather_epi32(vinf128, values, vpred_idx, mask128, 4);
-    const __m256i vpred = _mm256_cvtepu32_epi64(gathered);
-    __m256i vkey = _mm256_or_si256(_mm256_slli_epi64(vpred, 32),
-                                   _mm256_and_si256(voffs, vlow32));
-    vkey = _mm256_blendv_epi8(vsentinel, vkey, fits);
-    // Signed 64-bit min (valid: every key is non-negative): keep the lane
-    // of vbest unless it is strictly greater than vkey's.
-    const __m256i gt = _mm256_cmpgt_epi64(vbest, vkey);
-    vbest = _mm256_blendv_epi8(vbest, vkey, gt);
+    vbest = _mm_min_epi32(
+        vbest, _mm256_mask_i64gather_epi32(vinf, values, vpred_idx, mask128, 4));
   }
   simd_blocks += blocks;
-  alignas(32) std::int64_t lanes[kWidth];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), vbest);
-  std::int64_t key = lanes[0];
-  for (std::size_t i = 1; i < kWidth; ++i) {
-    if (lanes[i] < key) key = lanes[i];
-  }
-  // INT64_MAX (no fitting lane) decodes exactly to {kInfeasible, kNoChoice}.
-  fold_candidate(static_cast<std::int32_t>(key >> 32),
-                 static_cast<std::int32_t>(
-                     static_cast<std::uint32_t>(key & 0xFFFFFFFFll)),
-                 best, best_choice);
+  vbest = _mm_min_epi32(vbest, _mm_shuffle_epi32(vbest, _MM_SHUFFLE(1, 0, 3, 2)));
+  vbest = _mm_min_epi32(vbest, _mm_shuffle_epi32(vbest, _MM_SHUFFLE(2, 3, 0, 1)));
+  best = std::min(best, _mm_cvtsi128_si32(vbest));
   swar_scan_range(index, pvh, packed, offsets, values, blocks * kWidth, count,
-                  best, best_choice);
+                  best);
 }
 
 #else  // !PCMAX_SIMD_X86
@@ -155,7 +119,7 @@ __attribute__((target("avx2"))) void entry_scan_avx2(
 // unreachable through the public API.
 void entry_scan_avx2(std::size_t, std::uint64_t, const std::uint64_t*,
                      const std::size_t*, const std::int32_t*, std::size_t,
-                     std::uint64_t&, std::int32_t&, std::int32_t&) {
+                     std::uint64_t&, std::int32_t&) {
   PCMAX_REQUIRE(false, "AVX2 DP kernel not compiled into this binary");
 }
 

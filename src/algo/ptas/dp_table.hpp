@@ -2,23 +2,21 @@
 //
 // Entry v holds OPT(v): the minimum number of machines that schedule the
 // rounded long jobs given by count vector v with makespan at most T
-// (paper Eq. 4). Alongside each value the table can store the argmin
-// configuration id, which the reconstruction step walks backwards from N to
-// recover the actual machine assignment (paper Alg. 1, Line 26). Search
-// probes that only need OPT(N) allocate values-only tables (kValuesOnly),
-// halving table memory and write traffic.
+// (paper Eq. 4). The table stores values only. The reconstruction walk
+// (reconstruct.hpp) recovers each machine's configuration from them, so a
+// feasible search probe's table is all the schedule needs.
 //
 // The per-entry scan comes in a small family of kernels (DpKernel below):
 // the paper-faithful per-entry enumeration, the SWAR packed-fits scan (one
 // config word per iteration), and a runtime-dispatched AVX2 kernel that
 // tests 4 packed config words (32 digit bytes) per vector op and
-// vectorises the argmin reduction as well. A config set whose digits do
-// not fit a byte falls back to a per-dimension scalar fits test. All of
-// them implement the same canonical argmin (min predecessor value, ties
-// towards the smallest encoded offset), so every kernel fills
+// vectorises the min reduction as well. A config set whose digits do not
+// fit a byte falls back to a per-dimension scalar fits test. All of them
+// compute the same minimum over the fitting configs, so every kernel fills
 // byte-identical tables.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <cstddef>
@@ -30,19 +28,13 @@
 
 namespace pcmax {
 
-/// What one DpTable stores per entry.
+/// What one DpTable stores per entry: values only. Nothing reads it;
+/// pcmaxbench's next change drops it with the two option fields that name it.
 enum class DpTableMode {
-  /// Values and argmin choices — required for reconstruction.
-  kValuesAndChoices,
-  /// Values only — sufficient for feasibility probes (the bisection only
-  /// reads OPT(N)); no choice array is allocated.
   kValuesOnly,
 };
 
-/// Flat storage of OPT values and (optionally) argmin configuration choices.
-/// Storage is structure-of-arrays — values and choices live in separate
-/// cache-line-aligned buffers, so values-only probes stream values
-/// contiguously and the SIMD gathers never pull choice bytes into cache.
+/// Flat, cache-line-aligned storage of the OPT values.
 class DpTable {
  public:
   /// Value of an entry that has not been computed yet.
@@ -51,47 +43,21 @@ class DpTable {
   /// rounding every single-job config fits (c*u <= t <= T), so reachable
   /// tables never contain this; it exists for defensive completeness.
   static constexpr std::int32_t kInfeasible = INT32_MAX;
-  /// Choice value meaning "no configuration chosen" (origin or infeasible).
-  /// Otherwise the choice of entry v is the *encoded offset* of the
-  /// canonical argmin configuration s (i.e. encode(s)): among all fitting
-  /// configs of minimum predecessor value, the one with the smallest
-  /// encoded offset. The canonical rule is order-independent, so every DP
-  /// kernel — level-sorted scan, unsorted scan, per-entry enumeration —
-  /// fills identical tables, and the reconstruction walk computes the
-  /// predecessor index as `index - choice` and recovers s by decoding the
-  /// offset, independent of which kernel filled the table.
-  static constexpr std::int32_t kNoChoice = -1;
 
-  /// Allocates a table with `size` unset entries (size must fit in the
-  /// int32 choice encoding).
-  explicit DpTable(std::size_t size,
-                   DpTableMode mode = DpTableMode::kValuesAndChoices);
+  /// Allocates a table with `size` unset entries.
+  explicit DpTable(std::size_t size) : values_(size, kUnset) {}
 
   [[nodiscard]] std::size_t size() const { return values_.size(); }
 
-  /// True iff the table stores argmin choices (kValuesAndChoices mode).
-  [[nodiscard]] bool has_choices() const { return !choices_.empty(); }
-
   [[nodiscard]] std::int32_t value(std::size_t index) const { return values_[index]; }
 
-  /// Argmin choice of an entry; the table must have been allocated in
-  /// kValuesAndChoices mode.
-  [[nodiscard]] std::int32_t choice(std::size_t index) const {
-    assert(has_choices() && "choice() on a values-only table");
-    return choices_[index];
-  }
-
-  void set(std::size_t index, std::int32_t value, std::int32_t choice) {
-    values_[index] = value;
-    if (!choices_.empty()) choices_[index] = choice;
-  }
+  void set(std::size_t index, std::int32_t value) { values_[index] = value; }
 
   /// Raw value array for hot loops (read-only view of computed entries).
   [[nodiscard]] const std::int32_t* values_data() const { return values_.data(); }
 
  private:
   TableBuffer<std::int32_t> values_;
-  TableBuffer<std::int32_t> choices_;  ///< empty in kValuesOnly mode
 };
 
 /// Which configuration-scan kernel the DP uses per entry.
@@ -152,12 +118,6 @@ struct DpStats {
   DpKernel kernel = DpKernel::kGlobalConfigs;  ///< resolved kernel that ran
 };
 
-/// Computed value/choice pair for one entry.
-struct EntryResult {
-  std::int32_t value;
-  std::int32_t choice;
-};
-
 /// Per-worker scan counter bundle threaded through compute_entry.
 /// simd_blocks counts full-width vector iterations of the AVX2 kernel;
 /// scalar_fallbacks counts entries where the AVX2 kernel had to degrade to
@@ -191,16 +151,14 @@ inline constexpr std::uint64_t kSwarHigh = 0x8080808080808080ull;
 /// gather latency, near enough to stay inside the level prefix most scans.
 inline constexpr std::size_t kSwarPrefetchDist = 16;
 
-/// SWAR packed-fits scan over configs [begin, end): folds every fitting
-/// config into the canonical (min predecessor value, ties to smallest
-/// offset) argmin held in best/best_choice. Shared by the SWAR kernel and
-/// the tail of the AVX2 kernel, so the tail stays bit-compatible for free.
+/// SWAR packed-fits scan over configs [begin, end): folds the predecessor
+/// value of every fitting config into the running minimum `best`. Shared
+/// by the SWAR kernel and the tail of the AVX2 kernel.
 inline void swar_scan_range(std::size_t index, std::uint64_t pvh,
                             const std::uint64_t* packed,
                             const std::size_t* offsets,
                             const std::int32_t* values, std::size_t begin,
-                            std::size_t end, std::int32_t& best,
-                            std::int32_t& best_choice) {
+                            std::size_t end, std::int32_t& best) {
   for (std::size_t c = begin; c < end; ++c) {
     // Prefetch the predecessor value a few configs ahead. Non-fitting
     // configs can have offset > index, so guard the subtraction — the
@@ -213,11 +171,7 @@ inline void swar_scan_range(std::size_t index, std::uint64_t pvh,
       const std::int32_t predecessor = values[index - offsets[c]];
       assert(predecessor != DpTable::kUnset &&
              "DP ordering violated: predecessor not computed");
-      const auto choice = static_cast<std::int32_t>(offsets[c]);
-      if (predecessor < best || (predecessor == best && choice < best_choice)) {
-        best = predecessor;
-        best_choice = choice;
-      }
+      best = std::min(best, predecessor);
     }
   }
 }
@@ -230,18 +184,16 @@ inline void swar_scan_range(std::size_t index, std::uint64_t pvh,
 void entry_scan_avx2(std::size_t index, std::uint64_t pvh,
                      const std::uint64_t* packed, const std::size_t* offsets,
                      const std::int32_t* values, std::size_t count,
-                     std::uint64_t& simd_blocks, std::int32_t& best,
-                     std::int32_t& best_choice);
+                     std::uint64_t& simd_blocks, std::int32_t& best);
 
 }  // namespace detail
 
 /// Evaluates the recurrence for entry `index` with digits `v` on
 /// anti-diagonal `level` (= digit sum of v) against the global config set:
-/// OPT(v) = 1 + min over { s in C : s <= v } of OPT(v-s), argmin broken
-/// canonically towards the smallest encoded offset. Only the level-bounded
-/// prefix of the (level-sorted) set is scanned — configs of level > `level`
-/// cannot fit. Entry 0 (v = 0) must be handled by the caller (OPT = 0). All
-/// predecessor entries must already be computed.
+/// OPT(v) = 1 + min over { s in C : s <= v } of OPT(v-s). Only the
+/// level-bounded prefix of the (level-sorted) set is scanned — configs of
+/// level > `level` cannot fit. Entry 0 (v = 0) must be handled by the
+/// caller (OPT = 0). All predecessor entries must already be computed.
 ///
 /// `kernel` selects the fits-test realisation and must already be resolved
 /// (resolve_dp_kernel); anything but kAvx2 scans with SWAR. kAvx2 degrades
@@ -250,13 +202,12 @@ void entry_scan_avx2(std::size_t index, std::uint64_t pvh,
 /// digit above 127) runs the per-dimension scalar fits test under every
 /// kernel, and kAvx2 counts that as a fallback too. All kernels produce
 /// identical results.
-inline EntryResult compute_entry(std::size_t index, std::span<const int> v,
-                                 int level, const ConfigSet& configs,
-                                 const std::int32_t* values,
-                                 DpScanCounters& counters,
-                                 DpKernel kernel = DpKernel::kSwar) {
+inline std::int32_t compute_entry(std::size_t index, std::span<const int> v,
+                                  int level, const ConfigSet& configs,
+                                  const std::int32_t* values,
+                                  DpScanCounters& counters,
+                                  DpKernel kernel = DpKernel::kSwar) {
   std::int32_t best = DpTable::kInfeasible;
-  std::int32_t best_choice = DpTable::kNoChoice;
   const auto dims = static_cast<std::size_t>(configs.dims);
   const std::size_t* offsets = configs.offsets.data();
   const std::size_t count = configs.prefix_count(level);
@@ -274,17 +225,14 @@ inline EntryResult compute_entry(std::size_t index, std::span<const int> v,
     const std::uint64_t* packed = configs.packed.data();
     if (vector_kernel && count >= 4) {
       detail::entry_scan_avx2(index, pvh, packed, offsets, values, count,
-                              counters.simd_blocks, best, best_choice);
+                              counters.simd_blocks, best);
     } else {
       if (vector_kernel) ++counters.scalar_fallbacks;
       detail::swar_scan_range(index, pvh, packed, offsets, values, 0, count,
-                              best, best_choice);
+                              best);
     }
   } else {
     if (vector_kernel) ++counters.scalar_fallbacks;  // unpackable set
-    // Canonical argmin: min value, ties towards the smallest encoded
-    // offset. The explicit tie-break makes the result independent of the
-    // scan order (the level sort interleaves offsets across levels).
     const int* digits = configs.digits.data();
     for (std::size_t c = 0; c < count; ++c) {
       const int* s = digits + c * dims;
@@ -299,46 +247,32 @@ inline EntryResult compute_entry(std::size_t index, std::span<const int> v,
         const std::int32_t predecessor = values[index - offsets[c]];
         assert(predecessor != DpTable::kUnset &&
                "DP ordering violated: predecessor not computed");
-        const auto choice = static_cast<std::int32_t>(offsets[c]);
-        if (predecessor < best ||
-            (predecessor == best && choice < best_choice)) {
-          best = predecessor;
-          best_choice = choice;
-        }
+        best = std::min(best, predecessor);
       }
     }
   }
-  if (best == DpTable::kInfeasible) return {DpTable::kInfeasible, DpTable::kNoChoice};
-  return {best + 1, best_choice};
+  return best == DpTable::kInfeasible ? best : best + 1;
 }
 
 /// Paper-faithful variant of compute_entry: re-enumerates C_v for this entry
-/// (Alg. 3 Lines 17-19) instead of scanning a precomputed global set. The
-/// enumeration visits configs in lexicographic order of s — which equals
-/// increasing encoded-offset order — so keeping the first minimum already
-/// yields the canonical (min value, smallest offset) argmin, and the two
-/// kernels produce identical tables. Nothing is level-pruned here (the
-/// enumeration never materialises non-fitting candidates), so `pruned` of
-/// this kernel is always 0.
-inline EntryResult compute_entry_enumerated(std::size_t index,
-                                            std::span<const int> v,
-                                            const RoundedInstance& rounded,
-                                            const StateSpace& space,
-                                            const std::int32_t* values,
-                                            std::uint64_t& scans) {
+/// (Alg. 3 Lines 17-19) instead of scanning a precomputed global set; the
+/// same minimum, so the two kernels fill identical tables. Nothing is
+/// level-pruned here (the enumeration never materialises non-fitting
+/// candidates), so `pruned` of this kernel is always 0.
+inline std::int32_t compute_entry_enumerated(std::size_t index,
+                                             std::span<const int> v,
+                                             const RoundedInstance& rounded,
+                                             const StateSpace& space,
+                                             const std::int32_t* values,
+                                             std::uint64_t& scans) {
   std::int32_t best = DpTable::kInfeasible;
-  std::int32_t best_choice = DpTable::kNoChoice;
   scans += for_each_config_within(rounded, space, v, [&](std::size_t offset) {
     const std::int32_t predecessor = values[index - offset];
     assert(predecessor != DpTable::kUnset &&
            "DP ordering violated: predecessor not computed");
-    if (predecessor < best) {
-      best = predecessor;
-      best_choice = static_cast<std::int32_t>(offset);
-    }
+    best = std::min(best, predecessor);
   });
-  if (best == DpTable::kInfeasible) return {DpTable::kInfeasible, DpTable::kNoChoice};
-  return {best + 1, best_choice};
+  return best == DpTable::kInfeasible ? best : best + 1;
 }
 
 }  // namespace pcmax

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
+#include <span>
 
 #include "algo/list_scheduling.hpp"
 #include "algo/lpt.hpp"
@@ -45,11 +47,9 @@ std::string PtasSolver::name() const {
   return options_.engine == DpEngine::kBottomUp ? "PTAS" : "ParallelPTAS";
 }
 
-DpBackendFn PtasSolver::make_backend(DpTableMode mode,
-                                     const CancellationToken& cancel) const {
+DpBackendFn PtasSolver::make_backend(const CancellationToken& cancel) const {
   DpOptions sequential;
   sequential.kernel = options_.kernel;
-  sequential.mode = mode;
   sequential.cancel = cancel;
   switch (options_.engine) {
     case DpEngine::kBottomUp:
@@ -65,7 +65,6 @@ DpBackendFn PtasSolver::make_backend(DpTableMode mode,
                                ? ParallelDpVariant::kScanPerLevel
                                : ParallelDpVariant::kBucketed;
       dp_options.kernel = options_.kernel;
-      dp_options.table_mode = mode;
       dp_options.cancel = cancel;
       // A team-sweep fill too small to split runs inline on the caller as
       // dp_bottom_up (the same table; see kTeamFillMinWork). Only a team
@@ -106,11 +105,13 @@ SeededStart seed_search(const Instance& instance) {
   return seed;
 }
 
-/// Fills result.stats from the search and, when the DP ran, its final run
-/// (nullptr for an LPT-certified solve).
+/// Fills result.stats from the search and, when the DP ran, the run the
+/// schedule came from (nullptr for an LPT-certified solve). The trace's last
+/// row stands for the paper's fill at T*; `final_row_copied` says it copies
+/// the last feasible probe's row, a fill the sums must not count twice.
 void record_stats(PtasResult& result, int k, const BisectionResult& bisection,
-                  const DpAtTarget* final_run) {
-  // Aggregate statistics over all probes (including the reconstruction one).
+                  const DpAtTarget* final_run, bool final_row_copied) {
+  // Aggregate statistics over the fills the solve ran.
   double dp_seconds = 0.0;
   std::uint64_t entries = 0;
   std::uint64_t scans = 0;
@@ -118,7 +119,8 @@ void record_stats(PtasResult& result, int k, const BisectionResult& bisection,
   std::uint64_t simd_blocks = 0;
   std::uint64_t scalar_fallbacks = 0;
   std::size_t max_table = 0;
-  for (const BisectionIteration& it : bisection.trace) {
+  const std::size_t fills = bisection.trace.size() - (final_row_copied ? 1 : 0);
+  for (const BisectionIteration& it : std::span(bisection.trace).first(fills)) {
     dp_seconds += it.dp_seconds;
     entries += it.entries_computed;
     scans += it.config_scans;
@@ -128,8 +130,8 @@ void record_stats(PtasResult& result, int k, const BisectionResult& bisection,
     max_table = std::max(max_table, it.table_size);
   }
   result.stats["k"] = k;
-  // The last trace entry is the reconstruction probe, not a bisection step;
-  // a solve that LPT certified has no trace at all.
+  // The last trace entry stands for the paper's fill at T*, not a bisection
+  // step; a solve that LPT certified has no trace at all.
   result.stats["iterations"] =
       bisection.trace.empty() ? 0.0 : static_cast<double>(bisection.trace.size() - 1);
   result.stats["t_star"] = static_cast<double>(bisection.t_star);
@@ -162,9 +164,9 @@ PtasResult PtasSolver::solve_impl(const Instance& instance,
   if (stop.valid()) stop.check();
 
   // The token rides along with the DP budgets, which already reach every
-  // probe site (the bisection and the reconstruction probe). The incumbent
-  // board, when the context carries one, clamps the search's initial upper
-  // bound (read once — see DpLimits::incumbent).
+  // probe site (the bisection, and the fill at T* when no probe was
+  // feasible). The incumbent board, when the context carries one, clamps
+  // the search's initial upper bound (read once — see DpLimits::incumbent).
   DpLimits limits = options_.limits;
   limits.cancel = stop;
   if (limits.incumbent == nullptr) limits.incumbent = context.incumbent;
@@ -186,57 +188,42 @@ PtasResult PtasSolver::solve_impl(const Instance& instance,
       result.makespan = seed.lpt_makespan;
       result.proven_optimal = true;
       result.seconds = sw.elapsed_seconds();
-      record_stats(result, k_, bisection, nullptr);
+      record_stats(result, k_, bisection, nullptr, false);
       result.bisection = std::move(bisection);
       return result;
     }
     start = {seed.lower_bound, seed.lpt_makespan};
   }
 
-  // Search probes only read OPT(N), so they run values-only (halved table
-  // memory and write traffic); the final run at T* must keep choices for
-  // the reconstruction walk.
-  const DpBackendFn probe_backend = make_backend(DpTableMode::kValuesOnly, stop);
-  const DpBackendFn final_backend =
-      make_backend(DpTableMode::kValuesAndChoices, stop);
+  // Search for the target makespan (Alg. 1 Lines 5-30), keeping the last
+  // feasible probe: its target is T*, and its table is all the
+  // reconstruction needs (Lines 26, 31-51).
+  const DpBackendFn backend = make_backend(stop);
+  std::optional<DpAtTarget> kept;
+  bisection = bisect_target_makespan(instance, k_, backend, limits, start, &kept);
 
-  // Search for the target makespan (Alg. 1 Lines 5-30).
-  bisection = bisect_target_makespan(instance, k_, probe_backend, limits, start);
-
-  // Re-run the DP at the final target and reconstruct (Lines 26, 31-51).
-  // The final T* equals the last feasible probe, or the bracket's upper end
-  // when no probe was feasible, so this probe is feasible by the bisection
-  // invariant (UB is only ever lowered to feasible values).
-  Stopwatch probe_clock;
-  const DpAtTarget at =
-      run_dp_at(instance, bisection.t_star, k_, final_backend, limits);
-  const double final_probe_seconds = probe_clock.elapsed_seconds();
-  Schedule schedule = reconstruct_full_schedule(instance, at);
-
-  // Record the reconstruction probe in the trace: it is DP work that the
-  // parallel algorithm parallelises exactly like the bisection probes, so
-  // the simulated-multicore replay must see it.
-  {
-    BisectionIteration final_probe;
-    final_probe.target = bisection.t_star;
-    final_probe.feasible = true;
-    final_probe.counts = at.rounded.class_count;
-    final_probe.table_size = at.space.size();
-    final_probe.config_count = at.configs.count();
-    final_probe.entries_computed = at.run.stats.entries_computed;
-    final_probe.config_scans = at.run.stats.config_scans;
-    final_probe.configs_pruned = at.run.stats.configs_pruned;
-    final_probe.simd_blocks = at.run.stats.simd_blocks;
-    final_probe.scalar_fallbacks = at.run.stats.scalar_fallbacks;
-    final_probe.dp_seconds = final_probe_seconds;
-    bisection.trace.push_back(std::move(final_probe));
+  // The trace's last row stands for the paper's fill at T* (Line 26), so
+  // that the simulated-multicore replay charges it: a copy of the kept
+  // probe's row, or, when no probe was feasible, the row of the one fill at
+  // T* (the bracket's upper end, feasible by the bisection invariant).
+  const bool final_row_copied = kept.has_value();
+  if (final_row_copied) {
+    const auto row = std::find_if(bisection.trace.rbegin(), bisection.trace.rend(),
+                                  [](const BisectionIteration& it) { return it.feasible; });
+    bisection.trace.push_back(*row);
+  } else {
+    Stopwatch probe_clock;
+    kept.emplace(run_dp_at(instance, bisection.t_star, k_, backend, limits));
+    bisection.trace.push_back(trace_row(*kept, true, probe_clock.elapsed_seconds()));
   }
+  const DpAtTarget& at = *kept;
+  Schedule schedule = reconstruct_full_schedule(instance, at);
 
   PtasResult result;
   result.schedule = std::move(schedule);
   result.makespan = result.schedule.makespan(instance);
   result.seconds = sw.elapsed_seconds();
-  record_stats(result, k_, bisection, &at);
+  record_stats(result, k_, bisection, &at, final_row_copied);
 
   // The kernel the runs actually used (post resolve_dp_kernel), for result
   // consumers and the metrics export.

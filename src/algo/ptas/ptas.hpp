@@ -5,6 +5,11 @@
 // approximation algorithm (the parallel engines replace Algorithm 2 with
 // Algorithm 3, everything else unchanged — paper §III, last paragraph).
 //
+// The schedule is reconstructed from the table of the search's last
+// feasible probe, so the DP fills once per probe and never again at T*
+// (Alg. 1 Line 26 re-runs it); only a search with no feasible probe fills
+// once more, at the bracket's upper end.
+//
 // Guarantee: makespan <= (1 + 1/k) * OPT with k = ceil(1/epsilon), i.e. a
 // (1+epsilon)-approximation, identical for sequential and parallel engines.
 #pragma once
@@ -33,7 +38,7 @@ std::string dp_engine_name(DpEngine engine);
 /// kParallelBucketed engine (team wider than one thread) splits a DP fill
 /// across its team. A smaller fill runs inline on the calling thread as
 /// dp_bottom_up: no hand-off, no barrier waits, and the same table, since
-/// every engine fills identical values and choices.
+/// every engine fills identical values.
 ///
 /// Measured per probe fill (min of 7 batches) on the probes of random
 /// U(1,100) / U(1,10n) / U(1,2m-1) / U(m,2m-1) instances at m/n = 20/100,
@@ -77,7 +82,10 @@ struct PtasOptions {
   /// stay the paper's. Either way the incumbent board clamps the upper end.
   bool paper_bracket = false;
   /// When true, the per-iteration bisection trace is copied into the result
-  /// (used by the simulated-multicore harness).
+  /// (used by the simulated-multicore harness). Its last row stands for the
+  /// paper's fill at T* (Alg. 1 Line 26): a copy of the last feasible
+  /// probe's row, or the row of the one fill at T* when no probe was
+  /// feasible.
   bool keep_trace = false;
 };
 
@@ -123,12 +131,9 @@ class PtasSolver final : public Solver {
   [[nodiscard]] const PtasOptions& options() const { return options_; }
 
  private:
-  /// Builds the DP backend for the configured engine; `mode` selects the
-  /// table storage (values-only for search probes, values+choices for the
-  /// final reconstruction run). `cancel` is the solve's effective stop
-  /// signal.
-  DpBackendFn make_backend(DpTableMode mode,
-                           const CancellationToken& cancel) const;
+  /// Builds the DP backend for the configured engine. `cancel` is the
+  /// solve's effective stop signal.
+  DpBackendFn make_backend(const CancellationToken& cancel) const;
 
   /// The single implementation behind every public entry point: solve(),
   /// solve(ctx), solve_with_trace(), solve_with_trace(ctx) all land here.

@@ -1,5 +1,6 @@
 #include "algo/ptas/reconstruct.hpp"
 
+#include <span>
 #include <vector>
 
 #include "algo/lpt.hpp"
@@ -18,17 +19,27 @@ Schedule reconstruct_long_schedule(const Instance& instance, const DpAtTarget& a
   // Cursor into each class's job list; any job of the class is a valid
   // stand-in for its rounded size (paper Lines 34-39 pick the first match).
   std::vector<std::size_t> cursor(dims, 0);
-  std::vector<int> s(dims);  // decoded configuration of the current machine
-
+  std::vector<int> v(dims);  // digits of the current entry
   std::size_t index = at.space.size() - 1;  // start from OPT(N)
   int machine = 0;
   while (index != 0) {
-    const std::int32_t choice = at.run.table.choice(index);
-    PCMAX_CHECK(choice != DpTable::kNoChoice, "feasible entry lacks a choice");
     PCMAX_CHECK(machine < instance.machines(), "walk used too many machines");
-    // The choice stores encode(s); decoding it recovers the configuration.
-    const auto offset = static_cast<std::size_t>(choice);
-    at.space.decode(offset, s);
+    // The machine's configuration: among the fitting s whose predecessor
+    // needs one machine fewer, the one with the smallest encoded offset.
+    at.space.decode(index, v);
+    const std::int32_t predecessor_value = at.run.table.value(index) - 1;
+    const std::vector<std::size_t>& offsets = at.configs.offsets;
+    std::size_t chosen = offsets.size();
+    for (std::size_t c = 0; c < offsets.size(); ++c) {
+      if ((chosen == offsets.size() || offsets[c] < offsets[chosen]) &&
+          config_fits(at.configs.config(c), v) &&
+          at.run.table.value(index - offsets[c]) == predecessor_value) {
+        chosen = c;
+      }
+    }
+    PCMAX_CHECK(chosen != offsets.size(),
+                "feasible entry has no predecessor one machine short");
+    const std::span<const int> s = at.configs.config(chosen);
     for (std::size_t d = 0; d < dims; ++d) {
       for (int taken = 0; taken < s[d]; ++taken) {
         PCMAX_CHECK(cursor[d] < at.rounded.class_jobs[d].size(),
@@ -36,7 +47,7 @@ Schedule reconstruct_long_schedule(const Instance& instance, const DpAtTarget& a
         schedule.assign(machine, at.rounded.class_jobs[d][cursor[d]++]);
       }
     }
-    index -= offset;
+    index -= offsets[chosen];
     ++machine;
   }
   PCMAX_CHECK(machine == needed, "walk length disagrees with OPT(N)");

@@ -1,10 +1,13 @@
 // Schedule reconstruction from a feasible DP run (paper Alg. 1, Lines 26-51).
 //
-// Walk the stored argmin configurations backwards from OPT(N): each step
-// peels one machine's configuration off the remaining count vector. Rounded
-// jobs are then replaced by concrete long jobs of the same class (their
-// original processing time lies in [c*u, (c+1)*u)), and the short jobs are
-// appended with LPT onto the resulting loads.
+// Walk the values table backwards from OPT(N): each step peels one
+// machine's configuration off the remaining count vector v, the fitting s
+// with OPT(v - s) = OPT(v) - 1 and the smallest encoded offset. The walk
+// needs no stored choices, so the table of the search's last feasible
+// probe is enough and the DP never runs again at T*. Rounded jobs are then
+// replaced by concrete long jobs of the same class (their original
+// processing time lies in [c*u, (c+1)*u)), and the short jobs are appended
+// with LPT onto the resulting loads.
 #pragma once
 
 #include "algo/ptas/bisection.hpp"
@@ -12,7 +15,8 @@
 
 namespace pcmax {
 
-/// Extracts the long-job machine assignment from a feasible DP run.
+/// Extracts the long-job machine assignment from a feasible DP run. Any
+/// kernel's table gives the same schedule, since all fill the same values.
 /// Returns a schedule over `instance.machines()` machines containing only
 /// the long jobs. Throws InternalError if the run is infeasible or needs
 /// more machines than the instance has.

@@ -127,8 +127,10 @@ Instance Instance::parse(const std::string& text) {
   int n = 0;
   PCMAX_REQUIRE(static_cast<bool>(is >> m >> n), "expected 'm n t_1 ... t_n'");
   PCMAX_REQUIRE(n >= 1, "job count must be positive");
+  // n comes from the input: reserve no more than the text can hold, at two
+  // characters (a separator and a digit) per time.
   std::vector<Time> times;
-  times.reserve(static_cast<std::size_t>(n));
+  times.reserve(std::min(static_cast<std::size_t>(n), text.size() / 2));
   for (int j = 0; j < n; ++j) {
     Time t = 0;
     PCMAX_REQUIRE(static_cast<bool>(is >> t), "missing processing time");

@@ -62,6 +62,12 @@ TEST(Instance, ParseRejectsMalformedInput) {
   EXPECT_THROW((void)Instance::parse("0 1 5"), InvalidArgumentError);        // m = 0
 }
 
+TEST(Instance, ParseRejectsAJobCountTheTextCannotHold) {
+  // The count is read before the times: a huge one must not allocate ahead
+  // of them, only fail on the missing times.
+  EXPECT_THROW((void)Instance::parse("1 2147483647 5"), InvalidArgumentError);
+}
+
 TEST(Instance, VersionedWireFormatRoundTrips) {
   // Classic instances stay on the legacy "m n t..." line forever; variant
   // instances serialize to the self-describing pcmax.instance.v2 form and

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "algo/lpt.hpp"
 #include "algo/ptas/dp_sequential.hpp"
 #include "algo/ptas/reconstruct.hpp"
@@ -132,6 +134,32 @@ TEST(Bisection, FinalTargetIsFeasibleWhenReprobed) {
   const DpAtTarget at =
       run_dp_at(instance, result.t_star, 4, bottom_up_backend(), {});
   EXPECT_LE(at.run.machines_needed, instance.machines());
+}
+
+TEST(Bisection, HandsBackTheLastFeasibleProbe) {
+  const Instance instance =
+      generate_instance(InstanceFamily::kUniform1To10, 4, 20, 13, 0);
+  std::optional<DpAtTarget> kept;
+  const BisectionResult result =
+      bisect_target_makespan(instance, 4, bottom_up_backend(), {},
+                             paper_search_bracket(instance), &kept);
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_EQ(kept->rounded.params.target, result.t_star);
+  // The kept table is the one a fresh probe at T* fills, and so is the
+  // schedule reconstructed from it.
+  const DpAtTarget reprobed =
+      run_dp_at(instance, result.t_star, 4, bottom_up_backend(), {});
+  ASSERT_EQ(kept->run.table.size(), reprobed.run.table.size());
+  for (std::size_t i = 0; i < reprobed.run.table.size(); ++i) {
+    ASSERT_EQ(kept->run.table.value(i), reprobed.run.table.value(i)) << i;
+  }
+  EXPECT_EQ(reconstruct_full_schedule(instance, *kept),
+            reconstruct_full_schedule(instance, reprobed));
+
+  // A closed bracket runs no probe, so none is handed back.
+  bisect_target_makespan(instance, 4, bottom_up_backend(), {},
+                         {result.t_star, result.t_star}, &kept);
+  EXPECT_FALSE(kept.has_value());
 }
 
 TEST(Bisection, TraceRecordsDpShape) {

@@ -9,14 +9,15 @@
 // kernel, which shares no fits-test code with the packed kernels. Bottom-up
 // on SWAR and on AVX2, the scan-per-level sweep and the team sweep (one
 // Executor::run_team episode per fill) — the parallel paths at 1, 2, 3 and
-// 8 threads on the work-stealing executor — must reproduce its values and
-// argmin choices byte for byte in both table modes, compute every entry
+// 8 threads on the work-stealing executor — must reproduce its values byte
+// for byte and the schedule reconstructed from them, compute every entry
 // once and conserve scans + pruned. PtasSolver's inline cutoff is checked
 // on both sides of kTeamFillMinWork.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -26,6 +27,7 @@
 #include "algo/ptas/dp_parallel.hpp"
 #include "algo/ptas/dp_sequential.hpp"
 #include "algo/ptas/ptas.hpp"
+#include "algo/ptas/reconstruct.hpp"
 #include "core/instance.hpp"
 #include "core/instance_gen.hpp"
 #include "exact/bin_feasibility.hpp"
@@ -43,11 +45,13 @@ RoundedInstance make_rounded(const std::vector<Time>& sizes,
                              const std::vector<int>& counts, Time target) {
   RoundedInstance rounded;
   rounded.params = RoundingParams::make(target, 4);
+  int job = 0;
   for (std::size_t d = 0; d < sizes.size(); ++d) {
     rounded.class_index.push_back(static_cast<int>(d) + 1);
     rounded.class_size.push_back(sizes[d]);
     rounded.class_count.push_back(counts[d]);
     rounded.class_jobs.emplace_back();
+    for (int c = 0; c < counts[d]; ++c) rounded.class_jobs.back().push_back(job++);
     rounded.total_long_jobs += counts[d];
   }
   return rounded;
@@ -135,9 +139,8 @@ TEST(DpCrossCheck, MachineCountMonotoneInTarget) {
   }
 }
 
-/// Asserts `run` reproduces `reference` byte for byte: same OPT(N), same
-/// value at every entry, and the same argmin choice wherever `run` keeps
-/// choices.
+/// Asserts `run` reproduces `reference` byte for byte: same OPT(N) and the
+/// same value at every entry.
 void expect_identical_tables(const DpRun& reference, const DpRun& run,
                              const std::string& what) {
   ASSERT_EQ(run.table.size(), reference.table.size()) << what;
@@ -145,10 +148,6 @@ void expect_identical_tables(const DpRun& reference, const DpRun& run,
   for (std::size_t i = 0; i < reference.table.size(); ++i) {
     ASSERT_EQ(run.table.value(i), reference.table.value(i))
         << what << " value at entry " << i;
-    if (run.table.has_choices()) {
-      ASSERT_EQ(run.table.choice(i), reference.table.choice(i))
-          << what << " choice at entry " << i;
-    }
   }
 }
 
@@ -181,17 +180,30 @@ std::vector<Shape> crosscheck_shapes() {
   return shapes;
 }
 
+/// An instance holding the shape's jobs (the job ids of make_rounded), one
+/// machine per job.
+Instance long_job_instance(const Shape& shape) {
+  std::vector<Time> times;
+  for (std::size_t d = 0; d < shape.sizes.size(); ++d) {
+    times.insert(times.end(), static_cast<std::size_t>(shape.counts[d]),
+                 shape.sizes[d]);
+  }
+  if (times.empty()) times.push_back(1);  // an instance needs one job
+  const auto machines = static_cast<int>(times.size());
+  return Instance(machines, std::move(times));
+}
+
 /// The DP paths that fill tables in this library.
 enum class DpPath { kBottomUp, kScanPerLevel, kTeamSweep };
 
-using CrossCheckParam = std::tuple<DpPath, DpKernel, DpTableMode>;
+using CrossCheckParam = std::tuple<DpPath, DpKernel>;
 
 class DpPathCrossCheck : public ::testing::TestWithParam<CrossCheckParam> {};
 
 TEST_P(DpPathCrossCheck, MatchesThePerEntryReference) {
   // A forced AVX2 kernel on a host or build without it runs the SWAR
   // kernel it degrades to, so those cases check the degradation instead.
-  const auto [path, kernel, mode] = GetParam();
+  const auto [path, kernel] = GetParam();
   // The parallel paths run at 1, 2, 3 and 8 threads.
   std::vector<std::pair<std::string, std::unique_ptr<Executor>>> executors;
   if (path != DpPath::kBottomUp) {
@@ -210,24 +222,27 @@ TEST_P(DpPathCrossCheck, MatchesThePerEntryReference) {
         make_rounded(shape.sizes, shape.counts, shape.target);
     const StateSpace space(shape.counts, kBig);
     const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-    const DpRun reference = dp_bottom_up(rounded, space, configs, reference_options);
+    const Instance instance = long_job_instance(shape);
+    const DpAtTarget reference{rounded, space, configs,
+                               dp_bottom_up(rounded, space, configs, reference_options)};
+    const Schedule reference_schedule = reconstruct_long_schedule(instance, reference);
 
-    const auto check = [&](const DpRun& run, const std::string& what) {
-      EXPECT_EQ(run.table.has_choices(), mode == DpTableMode::kValuesAndChoices)
-          << what;
-      expect_identical_tables(reference, run, what);
+    const auto check = [&](DpRun run, const std::string& what) {
+      expect_identical_tables(reference.run, run, what);
       EXPECT_EQ(run.stats.entries_computed, space.size()) << what;
       EXPECT_EQ(run.stats.kernel, resolve_dp_kernel(kernel)) << what;
       // Scan conservation: each non-origin entry scans or prunes every config.
       EXPECT_EQ(run.stats.config_scans + run.stats.configs_pruned,
                 (space.size() - 1) * configs.count())
           << what;
+      const DpAtTarget at{rounded, space, configs, std::move(run)};
+      EXPECT_EQ(reconstruct_long_schedule(instance, at), reference_schedule)
+          << what << " reconstruction";
     };
     const std::string tag = " shape " + std::to_string(s);
     if (path == DpPath::kBottomUp) {
       DpOptions options;
       options.kernel = kernel;
-      options.mode = mode;
       check(dp_bottom_up(rounded, space, configs, options), "bottom-up" + tag);
       continue;
     }
@@ -237,14 +252,13 @@ TEST_P(DpPathCrossCheck, MatchesThePerEntryReference) {
       options.variant = path == DpPath::kTeamSweep ? ParallelDpVariant::kBucketed
                                                    : ParallelDpVariant::kScanPerLevel;
       options.kernel = kernel;
-      options.table_mode = mode;
       obs::Metrics metrics(executor->concurrency());
-      const DpRun run = [&] {
+      DpRun run = [&] {
         const obs::MetricsScope scope(metrics);
         return dp_parallel(rounded, space, configs, options);
       }();
       const std::string what = name + tag;
-      check(run, what);
+      check(std::move(run), what);
       if constexpr (obs::kMetricsEnabled) {
         if (path == DpPath::kTeamSweep) {
           // The whole fill is one team episode.
@@ -256,21 +270,18 @@ TEST_P(DpPathCrossCheck, MatchesThePerEntryReference) {
 }
 
 std::string crosscheck_name(const ::testing::TestParamInfo<CrossCheckParam>& info) {
-  const auto [path, kernel, mode] = info.param;
+  const auto [path, kernel] = info.param;
   const char* path_name = path == DpPath::kBottomUp       ? "BottomUp"
                           : path == DpPath::kScanPerLevel ? "ScanPerLevel"
                                                           : "TeamSweep";
-  return std::string(path_name) + "_" + dp_kernel_name(kernel) +
-         (mode == DpTableMode::kValuesOnly ? "_values_only" : "_full");
+  return std::string(path_name) + "_" + dp_kernel_name(kernel);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllPaths, DpPathCrossCheck,
     ::testing::Combine(::testing::Values(DpPath::kBottomUp, DpPath::kScanPerLevel,
                                          DpPath::kTeamSweep),
-                       ::testing::Values(DpKernel::kSwar, DpKernel::kAvx2),
-                       ::testing::Values(DpTableMode::kValuesAndChoices,
-                                         DpTableMode::kValuesOnly)),
+                       ::testing::Values(DpKernel::kSwar, DpKernel::kAvx2)),
     crosscheck_name);
 
 /// pool.regions of one PtasSolver solve, and the solve's probe trace.
@@ -305,11 +316,18 @@ TEST(DpCrossCheck, PtasSolverFillsInlineBelowTheCutoffAndInOneTeamAbove) {
     options.engine = DpEngine::kParallelBucketed;
     options.executor = &executor;
     const auto [regions, result] = solve_counting_regions(*instance, options);
+    // Every row but the last is a fill the search ran. The last copies the
+    // last feasible probe's row, and no fill runs for it.
+    const std::span<const BisectionIteration> probes =
+        std::span(result.bisection.trace).first(result.bisection.trace.size() - 1);
+    const std::string what = "eps " + std::to_string(epsilon);
+    ASSERT_TRUE(std::any_of(probes.begin(), probes.end(),
+                            [](const BisectionIteration& it) { return it.feasible; }))
+        << what;
     std::uint64_t above = 0;
-    for (const BisectionIteration& probe : result.bisection.trace) {
+    for (const BisectionIteration& probe : probes) {
       if (work(probe) >= kTeamFillMinWork) ++above;
     }
-    const std::string what = "eps " + std::to_string(epsilon);
     if (instance == &small) {
       EXPECT_EQ(above, 0u) << what;
     } else {

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "algo/ptas/config_enum.hpp"
 #include "algo/ptas/dp_parallel.hpp"
 #include "algo/ptas/dp_sequential.hpp"
+#include "algo/ptas/reconstruct.hpp"
 
 namespace pcmax {
 namespace {
@@ -114,23 +116,19 @@ TEST(PaperExample, ParallelSweepReproducesTableOnFourProcessors) {
 
 TEST(PaperExample, ReconstructionWalkUsesTwoMachines) {
   const RoundedInstance rounded = paper_rounded();
-  const StateSpace space({2, 3}, kBig);
-  const ConfigSet configs = enumerate_configs(rounded, space, kBig);
-  const DpRun run = dp_bottom_up(rounded, space, configs);
+  StateSpace space({2, 3}, kBig);
+  ConfigSet configs = enumerate_configs(rounded, space, kBig);
+  DpRun run = dp_bottom_up(rounded, space, configs);
+  ASSERT_EQ(run.machines_needed, 2);
+  const DpAtTarget at{rounded, std::move(space), std::move(configs), std::move(run)};
 
-  // Walk back from OPT(2,3) following stored choices; must take exactly
-  // machines_needed steps and consume the full vector.
-  std::size_t index = space.size() - 1;
-  int machines = 0;
-  while (index != 0) {
-    const std::int32_t choice = run.table.choice(index);
-    ASSERT_NE(choice, DpTable::kNoChoice);
-    // The choice is the encoded offset of the machine's configuration.
-    index -= static_cast<std::size_t>(choice);
-    ++machines;
-    ASSERT_LE(machines, 12);
-  }
-  EXPECT_EQ(machines, run.machines_needed);
+  // Walk back from OPT(2,3) = 2 through the values: the first machine takes
+  // s = (0,2), the fitting config of smallest offset whose predecessor
+  // OPT(2,1) is 1, and the second takes the rest, s = (2,1).
+  const Instance instance(2, {6, 6, 11, 11, 11});
+  const Schedule schedule = reconstruct_long_schedule(instance, at);
+  EXPECT_EQ(schedule.jobs_on(0), (std::vector<int>{2, 3}));
+  EXPECT_EQ(schedule.jobs_on(1), (std::vector<int>{0, 1, 4}));
 }
 
 }  // namespace

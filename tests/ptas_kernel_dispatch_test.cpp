@@ -45,8 +45,6 @@ void expect_identical_tables(const DpRun& reference, const DpRun& run,
   for (std::size_t i = 0; i < reference.table.size(); ++i) {
     ASSERT_EQ(run.table.value(i), reference.table.value(i))
         << what << " value at entry " << i;
-    ASSERT_EQ(run.table.choice(i), reference.table.choice(i))
-        << what << " choice at entry " << i;
   }
 }
 

@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "algo/lpt.hpp"
 #include "core/instance_gen.hpp"
+#include "core/io.hpp"
 #include "core/solve_context.hpp"
 #include "exact/brute_force.hpp"
 #include "exact/exact.hpp"
@@ -363,6 +367,81 @@ TEST(PtasSolver, PaperBracketKeepsThePaperProbeSequence) {
   EXPECT_EQ(seeded.bisection.ub_start, 300);
   EXPECT_EQ(seeded.bisection.t_star, 296);
   EXPECT_LT(seeded.bisection.trace.size(), paper.bisection.trace.size());
+}
+
+TEST(PtasSolver, FillsTheDpOncePerProbe) {
+  if constexpr (!obs::kMetricsEnabled) GTEST_SKIP() << "PCMAX_METRICS is OFF";
+  // A searched solve reconstructs from its last feasible probe, so it fills
+  // no table beyond its probes.
+  const Instance searched = generate_instance(InstanceFamily::kUniform1To100, 10, 30, 42, 0);
+  obs::Metrics metrics(1);
+  SolveContext context;
+  context.metrics = &metrics;
+  const PtasResult result = PtasSolver(PtasOptions{}).solve_with_trace(searched, context);
+  ASSERT_FALSE(result.proven_optimal);
+  ASSERT_GE(result.stats.at("iterations"), 1.0);
+  EXPECT_EQ(static_cast<double>(metrics.counter_total(obs::Counter::kBisectionProbes)),
+            result.stats.at("iterations"));
+
+  // Three jobs of 3 on two machines: OPT = 6. On the paper's bracket with
+  // the upper end clamped to 6, the one probe (T = 5) is infeasible, so the
+  // solve fills the table once more, at T* = 6.
+  const Instance clamped(2, {3, 3, 3});
+  obs::Metrics clamped_metrics(1);
+  SolveContext clamped_context;
+  clamped_context.metrics = &clamped_metrics;
+  clamped_context.incumbent = std::make_shared<IncumbentBoard>();
+  clamped_context.incumbent->publish(6);
+  PtasOptions paper;
+  paper.paper_bracket = true;
+  paper.keep_trace = true;
+  const PtasResult fallback =
+      PtasSolver(paper).solve_with_trace(clamped, clamped_context);
+  const std::vector<BisectionIteration>& trace = fallback.bisection.trace;
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_FALSE(trace.front().feasible);
+  EXPECT_EQ(fallback.bisection.t_star, 6);
+  EXPECT_EQ(fallback.makespan, 6);
+  EXPECT_DOUBLE_EQ(fallback.stats.at("iterations"), 1.0);
+  EXPECT_EQ(clamped_metrics.counter_total(obs::Counter::kBisectionProbes), 2U);
+}
+
+// The schedules `ptas` returned while it still re-ran the DP at T* for a
+// choice table, pinned byte for byte: eps 0.3 and 0.2, the speed-up
+// families at m = 10, n = 30 and m = 20, n = 100, seed 42, indices 0 and 1.
+// Each block is a header line and `pcmax solve --schedules` output of that
+// version for `pcmax generate --family F --m M --n N --count 2 --seed 42`.
+TEST(PtasSolver, ReproducesThePinnedSchedules) {
+  std::ifstream in(PCMAX_SOURCE_DIR "/tests/golden/ptas_schedules.txt");
+  ASSERT_TRUE(in.good()) << "missing tests/golden/ptas_schedules.txt";
+  std::ostringstream expected;
+  expected << in.rdbuf();
+
+  WorkStealingExecutor executor(2);
+  std::string sequential;
+  std::string parallel;
+  for (const double epsilon : {0.3, 0.2}) {
+    for (const InstanceFamily family : speedup_families()) {
+      for (const auto& [machines, jobs] : {std::pair{10, 30}, std::pair{20, 100}}) {
+        for (std::uint64_t index = 0; index < 2; ++index) {
+          const Instance instance = generate_instance(family, machines, jobs, 42, index);
+          std::ostringstream header;
+          header << "eps " << epsilon << " family " << family_name(family) << " m "
+                 << machines << " n " << jobs << " index " << index << "\n";
+          PtasOptions options;
+          options.epsilon = epsilon;
+          sequential += header.str() +
+                        schedule_to_text(instance, PtasSolver(options).solve(instance).schedule);
+          options.engine = DpEngine::kParallelBucketed;
+          options.executor = &executor;
+          parallel += header.str() +
+                      schedule_to_text(instance, PtasSolver(options).solve(instance).schedule);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(sequential, expected.str());
+  EXPECT_EQ(parallel, expected.str());
 }
 
 }  // namespace

@@ -66,12 +66,15 @@ run_simd() {
   # scan kernel is definitely built, and one with PCMAX_DISABLE_SIMD=ON so
   # the AVX2 kernel is compiled out and `auto` resolves to SWAR. Both run
   # the kernel-sensitive tests — the DpPathCrossCheck suite asserts that
-  # every DP path (bottom-up, scan-per-level, team sweep) on SWAR and AVX2,
-  # in both table modes, is byte-identical to the per-entry enumeration
-  # reference, so these trees catch a miscompiled kernel and a broken
-  # degradation to SWAR respectively.
+  # every DP path (bottom-up, scan-per-level, team sweep) on SWAR and AVX2
+  # fills the per-entry enumeration reference's values byte for byte and
+  # reconstructs its schedule, and the example, bisection and solver tests
+  # reconstruct schedules from their own kernel's values — so these trees
+  # catch a miscompiled kernel and a broken degradation to SWAR
+  # respectively.
   local simd_tests=(ptas_dp_crosscheck_test ptas_kernel_dispatch_test
-                    ptas_config_enum_test ptas_dp_test)
+                    ptas_config_enum_test ptas_dp_test ptas_dp_example_test
+                    ptas_bisection_test ptas_solver_test)
   echo "== SIMD tree (-mavx2): DP kernel tests =="
   cmake -B build-simd -S . -DCMAKE_BUILD_TYPE=Release \
     -DPCMAX_SIMD_FLAGS=-mavx2
