@@ -39,7 +39,6 @@
 
 #include "parallel/bounded_queue.hpp"
 #include "parallel/executor.hpp"
-#include "parallel/executor_lanes.hpp"
 #include "parallel/parallel_sort.hpp"
 
 #include "service/batch_report.hpp"

@@ -15,7 +15,8 @@ JsonValue batch_report(const ServiceOptions& options,
   JsonValue& config = report["config"];
   config["workers"] = options.workers;
   config["lane_width"] = options.lane_width;
-  config["lanes"] = options.lanes == 0 ? options.workers : options.lanes;
+  // Each worker owns one executor lane.
+  config["lanes"] = options.workers;
   config["queue_capacity"] = static_cast<std::int64_t>(options.queue_capacity);
   config["cache_capacity"] = static_cast<std::int64_t>(options.cache_capacity);
   config["epsilon"] = options.epsilon;

@@ -50,28 +50,22 @@ struct ServiceOptions {
   /// Solver stack for full-fidelity requests.
   ServiceMode mode = ServiceMode::kResilient;
 
-  /// Independent service shards, selected per request by the 128-bit
-  /// fingerprint (core/fingerprint shard_index). Each shard owns its own
-  /// bounded queue, result-cache slice, coalescing map, breaker, and
-  /// workers; 1 reproduces the unsharded PR 7 service exactly.
+  /// Service shards, selected per request by the 128-bit fingerprint
+  /// (core/fingerprint shard_index). Each shard owns its own result-cache
+  /// slice, coalescing map and breaker; every worker serves every shard.
+  /// 1 reproduces the unsharded service exactly.
   unsigned shards = 1;
 
-  /// Solver worker threads draining the queues, across ALL shards (>= 1).
-  /// Distributed round-robin (first `workers % shards` shards get one
-  /// extra); every shard runs at least one worker, so the effective total
-  /// is max(workers, shards).
+  /// Worker threads serving the one request queue, for all shards (>= 1).
+  /// Exactly this many start.
   unsigned workers = 2;
 
-  /// Per-request parallelism cap: width of each executor lane. 1 = fully
-  /// sequential solves (lanes degenerate to inline execution).
+  /// Per-request parallelism cap: each worker's executor is this many
+  /// threads wide. 1 = fully sequential solves.
   unsigned lane_width = 1;
 
-  /// Number of shared executor lanes; 0 = one per worker thread. Fewer
-  /// lanes than workers adds a second admission gate below the queues.
-  unsigned lanes = 0;
-
-  /// Bounded request-queue capacity across all shards (backpressure
-  /// threshold). Each shard's queue holds max(1, queue_capacity / shards).
+  /// Bounded request-queue capacity (>= 1, the backpressure threshold).
+  /// One queue serves every shard.
   std::size_t queue_capacity = 64;
 
   /// Result-cache capacity in entries across all shards; 0 disables
@@ -88,10 +82,8 @@ struct ServiceOptions {
   std::int64_t default_time_limit_ms = 0;
 
   /// Queue depth at dispatch at/above which a request degrades to the cheap
-  /// path ("queue-saturated"), counted against the request's OWN shard
-  /// (scaled to watermark / shards, min 1). 0 = the shard's full queue
-  /// capacity, i.e. degrade only while that queue is completely full behind
-  /// this request. Static policy only.
+  /// path ("queue-saturated"). 0 = queue_capacity, i.e. degrade only while
+  /// the queue is completely full behind this request. Static policy only.
   std::size_t saturation_watermark = 0;
 
   /// A request whose remaining budget is below this at dispatch degrades to
@@ -102,7 +94,7 @@ struct ServiceOptions {
   ShedPolicy shed_policy = ShedPolicy::kStatic;
 
   /// Tiered-policy thresholds over the pressure score
-  /// (shard_queue_depth/shard_capacity, +0.5 when the breaker blocked full
+  /// (queue_depth/queue_capacity, +0.5 when the breaker blocked full
   /// fidelity, +lite_pressure when the deadline is near — a nearly spent
   /// budget always degrades to at least the lite tier, so doomed
   /// full-fidelity attempts never feed the breaker). Must be non-decreasing.
@@ -124,8 +116,8 @@ struct ServiceOptions {
   /// Per-tenant admission weights; empty = no quotas (every tenant,
   /// including the default "", is uncapped — the PR 4 behavior). A listed
   /// tenant may hold at most max(1, queue_capacity * weight / total_weight)
-  /// queued requests ACROSS ALL SHARDS; beyond that, submissions are shed
-  /// with reason "shed:tenant-quota". Unlisted tenants stay uncapped.
+  /// queued requests; beyond that, submissions are shed with reason
+  /// "shed:tenant-quota". Unlisted tenants stay uncapped.
   std::map<std::string, unsigned> tenant_weights;
 
   /// Fallback-rung tuning forwarded to ResilientSolver.
@@ -186,7 +178,6 @@ struct ShardStats {
   std::uint64_t internal_errors = 0;  ///< unknown exceptions structured away
   CacheStats cache;             ///< this shard's cache slice
   BreakerKeyStats breaker;      ///< this shard's breaker totals
-  std::size_t queue_high_watermark = 0;
 };
 
 /// Counter snapshot of a running service, aggregated over every shard.
@@ -199,8 +190,7 @@ struct ServiceStats {
   std::uint64_t internal_errors = 0;  ///< unknown exceptions structured away
   CacheStats cache;             ///< summed across shards (zeroed if disabled)
   BreakerKeyStats breaker;      ///< totals across shards and breaker keys
-  /// MAX of the per-shard queue high watermarks (each bounded by its
-  /// shard's capacity, hence by the configured total).
+  /// Largest depth the service queue ever reached (<= queue_capacity).
   std::size_t queue_high_watermark = 0;
   std::vector<ShardStats> shards;  ///< one entry per shard, in index order
 };

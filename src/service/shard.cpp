@@ -77,47 +77,16 @@ class BreakerAttempt {
 
 }  // namespace
 
-ServiceShard::ServiceShard(
-    int index, const ServiceOptions& options, std::size_t queue_capacity,
-    std::size_t cache_capacity, std::size_t saturation_watermark,
-    unsigned workers, ExecutorLanes* lanes,
-    std::function<void(const std::string&)> release_tenant)
+ServiceShard::ServiceShard(int index, const ServiceOptions& options,
+                           std::size_t cache_capacity,
+                           std::function<std::size_t()> queue_depth)
     : index_(index),
       options_(options),
-      queue_capacity_(queue_capacity),
-      saturation_watermark_(saturation_watermark),
-      queue_(std::make_unique<BoundedQueue<Pending>>(queue_capacity)),
-      lanes_(lanes),
       breaker_(std::make_unique<CircuitBreaker>(options.breaker)),
-      release_tenant_(std::move(release_tenant)) {
+      queue_depth_(std::move(queue_depth)) {
   if (cache_capacity > 0) {
     cache_ = std::make_unique<ResultCache>(cache_capacity);
   }
-  workers_.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ServiceShard::~ServiceShard() {
-  close();
-  join();
-}
-
-void ServiceShard::close() { queue_->close(); }
-
-void ServiceShard::join() {
-  if (joined_) return;
-  joined_ = true;
-  for (std::thread& worker : workers_) worker.join();
-}
-
-bool ServiceShard::push_blocking(Pending pending) {
-  return queue_->push(std::move(pending));
-}
-
-std::optional<ServiceShard::Pending> ServiceShard::try_push(Pending pending) {
-  return queue_->try_push(std::move(pending));
 }
 
 ShardStats ServiceShard::stats() const {
@@ -131,26 +100,15 @@ ShardStats ServiceShard::stats() const {
   stats.internal_errors = internal_errors_.load(std::memory_order_relaxed);
   if (cache_ != nullptr) stats.cache = cache_->stats();
   stats.breaker = breaker_->totals();
-  stats.queue_high_watermark = queue_->high_watermark();
   return stats;
 }
 
-void ServiceShard::worker_loop() {
-  while (auto pending = queue_->pop()) {
-    // The tenant quota counts QUEUED requests; the slot frees at dispatch.
-    // Done here (not in process) so coalescing re-dispatch cannot
-    // double-free.
-    release_tenant_(pending->request.tenant);
-    process(std::move(*pending));
-  }
-}
-
-void ServiceShard::process(Pending pending) {
+void ServiceShard::process(Pending pending, Executor& executor) {
   const std::uint64_t dispatch_ns = obs::monotonic_ns();
   SolveResponse response;
   try {
     try {
-      std::optional<SolveResponse> handled = handle(pending);
+      std::optional<SolveResponse> handled = handle(pending, executor);
       // A parked coalescing follower: its promise now belongs to the
       // in-flight leader, which will resolve it on completion.
       if (!handled.has_value()) return;
@@ -159,8 +117,8 @@ void ServiceShard::process(Pending pending) {
       // A budget (or injected fault) tripped outside the resilient solver's
       // own rungs: answer with the degraded path, never with an exception.
       try {
-        response =
-            cheap_solve(pending, std::string("resource-limit: ") + e.what());
+        response = cheap_solve(
+            pending, std::string("resource-limit: ") + e.what(), executor);
       } catch (const ResourceLimitError& inner) {
         // Even the degraded rung tripped: shed with provenance rather than
         // drop the request or retry a path that just proved unavailable.
@@ -186,7 +144,8 @@ void ServiceShard::process(Pending pending) {
   finish(pending, std::move(response), dispatch_ns);
 }
 
-std::optional<SolveResponse> ServiceShard::handle(Pending& pending) {
+std::optional<SolveResponse> ServiceShard::handle(Pending& pending,
+                                                  Executor& executor) {
   fault_hit("service.request");
   const CanonicalInstance& canonical = *pending.canonical;
   const Fingerprint& key = pending.key;
@@ -217,13 +176,13 @@ std::optional<SolveResponse> ServiceShard::handle(Pending& pending) {
     }
   }
 
-  // Admission decision: map the pressure signal (shard queue depth, deadline
+  // Admission decision: map the pressure signal (service queue depth, deadline
   // headroom, breaker state) onto a solver tier — or shed outright.
   Tier tier = Tier::kFull;
   std::string forced_reason;
   bool breaker_blocked = false;
   BreakerAttempt attempt(*breaker_, solver_key());
-  const std::size_t depth = queue_->size();
+  const std::size_t depth = queue_depth_();
   const bool deadline_near =
       pending.deadline.has_limit() &&
       pending.deadline.remaining_seconds() * 1000.0 <
@@ -231,8 +190,9 @@ std::optional<SolveResponse> ServiceShard::handle(Pending& pending) {
   if (options_.shed_policy == ShedPolicy::kStatic) {
     // PR 4 semantics: a saturated queue or a nearly-spent deadline sends
     // the request down the cheap path instead of starting a doomed PTAS.
-    const std::size_t watermark =
-        saturation_watermark_ == 0 ? queue_capacity_ : saturation_watermark_;
+    const std::size_t watermark = options_.saturation_watermark == 0
+                                      ? options_.queue_capacity
+                                      : options_.saturation_watermark;
     if (depth >= watermark) {
       tier = Tier::kLite;
       forced_reason = "queue-saturated";
@@ -245,8 +205,8 @@ std::optional<SolveResponse> ServiceShard::handle(Pending& pending) {
       forced_reason = std::string("breaker-open:") + solver_key();
     }
   } else {
-    double pressure =
-        static_cast<double>(depth) / static_cast<double>(queue_capacity_);
+    double pressure = static_cast<double>(depth) /
+                      static_cast<double>(options_.queue_capacity);
     // A nearly spent budget is weighted at the lite threshold, never less:
     // a full PTAS launched against it is doomed, and its certain "deadline"
     // failure would feed the breaker's streak — a storm of tiny-deadline
@@ -295,6 +255,9 @@ std::optional<SolveResponse> ServiceShard::handle(Pending& pending) {
       // request's own admission ends verdict-less. Release it (a half-open
       // probe slot must not wedge behind a parked follower).
       attempt.abandon();
+      // Hit under inflight_mutex_: once a test has seen it, the follower is
+      // parked before the leader can conclude.
+      fault_hit("service.coalesce");
       it->second.followers.push_back(std::move(pending));
       return std::nullopt;
     }
@@ -305,7 +268,7 @@ std::optional<SolveResponse> ServiceShard::handle(Pending& pending) {
   SolveResponse response;
   try {
     try {
-      response = run_solver(pending, tier, forced_reason);
+      response = run_solver(pending, tier, forced_reason, executor);
     } catch (const ResourceLimitError&) {
       attempt.failure();
       throw;
@@ -344,16 +307,17 @@ std::optional<SolveResponse> ServiceShard::handle(Pending& pending) {
   } catch (...) {
     // Leadership must not leak: hand parked followers back to the pipeline
     // (there is no shareable result) before the error propagates.
-    if (leader) conclude_leadership(key, canonical, nullptr);
+    if (leader) conclude_leadership(key, canonical, nullptr, executor);
     throw;
   }
-  if (leader) conclude_leadership(key, canonical, &response);
+  if (leader) conclude_leadership(key, canonical, &response, executor);
   return response;
 }
 
 void ServiceShard::conclude_leadership(const Fingerprint& key,
                                        const CanonicalInstance& canonical,
-                                       const SolveResponse* response) {
+                                       const SolveResponse* response,
+                                       Executor& executor) {
   std::vector<Pending> followers;
   {
     std::lock_guard lock(inflight_mutex_);
@@ -367,7 +331,9 @@ void ServiceShard::conclude_leadership(const Fingerprint& key,
   // Degraded (or absent) leader results are never shared: a follower with a
   // healthy budget must not inherit a neighbour's degradation.
   if (response == nullptr || response->degradation_reason != "none") {
-    for (Pending& follower : followers) process(std::move(follower));
+    for (Pending& follower : followers) {
+      process(std::move(follower), executor);
+    }
     return;
   }
 
@@ -397,20 +363,21 @@ void ServiceShard::conclude_leadership(const Fingerprint& key,
 }
 
 SolveResponse ServiceShard::cheap_solve(Pending& pending,
-                                        const std::string& reason) {
-  SolveResponse response = run_solver(pending, Tier::kLite, reason);
+                                        const std::string& reason,
+                                        Executor& executor) {
+  SolveResponse response = run_solver(pending, Tier::kLite, reason, executor);
   response.fingerprint = pending.key;
   response.notes["cache"] = "skipped-degraded";
   return response;
 }
 
 SolveResponse ServiceShard::run_solver(Pending& pending, Tier tier,
-                                       const std::string& forced_reason) {
+                                       const std::string& forced_reason,
+                                       Executor& executor) {
   const CanonicalInstance& canonical = *pending.canonical;
   // The request's stop signal (its cancel token under its deadline).
   SolveContext context = SolveContext::with_token(pending.token);
 
-  const ExecutorLanes::Lease lease = lanes_->acquire();
   // Solve the CANONICAL twin, not the submitted ordering. The PTAS maps
   // concrete jobs into rounded value classes in job order, and two jobs in
   // one class have different true times — so its makespan is not
@@ -426,13 +393,13 @@ SolveResponse ServiceShard::run_solver(Pending& pending, Tier tier,
     portfolio.build.local_search_rounds = options_.local_search_rounds;
     // Sequential race on this worker: deterministic winner (responses must
     // stay pure functions of the problem for cache coherence), and no
-    // competition with other workers for the leased lane.
+    // competition with other racers for the worker's executor.
     portfolio.max_concurrent = 1;
     if (options_.lane_width > 1) {
-      // Auto-selection adds the parallel-ptas racer on the leased lane;
-      // bit-compatible with the sequential fill, so responses still do not
-      // depend on the lane width.
-      portfolio.build.executor = &lease.executor();
+      // Auto-selection adds the parallel-ptas racer on the worker's
+      // executor; bit-compatible with the sequential fill, so responses
+      // still do not depend on the lane width.
+      portfolio.build.executor = &executor;
     }
     PortfolioSolver solver(portfolio);
     // Variant dispatch: capacity-restricted instances are solved on their
@@ -449,11 +416,11 @@ SolveResponse ServiceShard::run_solver(Pending& pending, Tier tier,
     resilient.local_search_rounds =
         tier == Tier::kHeuristic ? 0 : options_.local_search_rounds;
     if (options_.lane_width > 1) {
-      // Parallel engine on the leased lane; bit-compatible with the
+      // Parallel engine on the worker's executor; bit-compatible with the
       // sequential bottom-up fill (see tests/ptas_dp_crosscheck_test.cpp),
       // so cache entries and responses do not depend on the lane width.
       resilient.ptas.engine = DpEngine::kParallelBucketed;
-      resilient.ptas.executor = &lease.executor();
+      resilient.ptas.executor = &executor;
     }
     ResilientSolver solver(resilient);
     result = solve_variant_with(solver, canonical.instance(), context);

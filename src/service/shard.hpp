@@ -1,19 +1,19 @@
-// One shard of the sharded solve service: a self-contained serving pipeline
-// over a slice of the fingerprint space.
+// One shard of the sharded solve service: the serving pipeline's state for
+// a slice of the fingerprint space.
 //
 // The front end (service/solve_service.hpp) canonicalizes and fingerprints
-// every request at submission and routes it with core/fingerprint
-// shard_index — so each ServiceShard owns, privately and without cross-shard
-// locks:
+// every request at submission, routes it with core/fingerprint shard_index,
+// and puts it on the service's one request queue; whichever service worker
+// pops it calls its shard's process(). Each ServiceShard owns, privately and
+// without cross-shard locks:
 //
-//  * a BOUNDED QUEUE (capacity = total / shards) with its own workers;
 //  * a RESULT-CACHE slice (capacity = total / shards): a fingerprint only
 //    ever probes one shard, so the slices partition the key space
 //    exhaustively — aggregate hit behavior matches the unsharded cache;
 //  * a COALESCING map: concurrent duplicates of a fingerprint always land
 //    on the same shard, so per-shard maps lose no matches;
-//  * a CIRCUIT BREAKER over its own full-fidelity traffic, and the tiered
-//    shed state (pressure is measured against THIS shard's queue).
+//  * a CIRCUIT BREAKER over its own full-fidelity traffic, and its
+//    counters.
 //
 // The pipeline (admission tiers, cache probe, coalescing leadership, solver
 // dispatch, breaker verdicts, structured sheds) is the PR 7 single-queue
@@ -30,14 +30,12 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "core/breaker.hpp"
 #include "core/fingerprint.hpp"
-#include "parallel/bounded_queue.hpp"
-#include "parallel/executor_lanes.hpp"
+#include "parallel/executor.hpp"
 #include "service/result_cache.hpp"
 #include "service/service_types.hpp"
 #include "service/solve_future.hpp"
@@ -49,8 +47,8 @@ class ServiceShard {
  public:
   /// One queued request. Built by the front end at submission: the
   /// canonical twin, request fingerprint, and effective epsilon are
-  /// computed ONCE there (they are needed for routing anyway), so shard
-  /// workers never re-canonicalize.
+  /// computed ONCE there (they are needed for routing anyway), so workers
+  /// never re-canonicalize.
   struct Pending {
     explicit Pending(SolveRequest r) : request(std::move(r)) {}
 
@@ -68,36 +66,21 @@ class ServiceShard {
     int shard = 0;            ///< destination shard index
   };
 
-  /// `queue_capacity` / `cache_capacity` / `saturation_watermark` are this
-  /// shard's slice of the service-wide options. `lanes` is the SHARED
-  /// executor-lane set (owned by the front end, outlives every shard).
-  /// `release_tenant` returns one global tenant-quota slot; called when a
-  /// worker pops a request (coalescing re-dispatch cannot double-free).
-  /// `workers` threads start immediately.
+  /// `cache_capacity` is this shard's slice of the service-wide cache.
+  /// `queue_depth` reads the service queue's current depth, the pressure
+  /// signal of the admission decision.
   ServiceShard(int index, const ServiceOptions& options,
-               std::size_t queue_capacity, std::size_t cache_capacity,
-               std::size_t saturation_watermark, unsigned workers,
-               ExecutorLanes* lanes,
-               std::function<void(const std::string&)> release_tenant);
-
-  /// Joins if the front end has not already: close() + join() are
-  /// idempotent.
-  ~ServiceShard();
+               std::size_t cache_capacity,
+               std::function<std::size_t()> queue_depth);
 
   ServiceShard(const ServiceShard&) = delete;
   ServiceShard& operator=(const ServiceShard&) = delete;
 
-  /// Closes admission to this shard's queue; queued requests still drain.
-  void close();
-  /// Joins the shard's workers (after close()).
-  void join();
-
-  /// Static-policy enqueue: blocks while the queue is full; false once
-  /// closed.
-  [[nodiscard]] bool push_blocking(Pending pending);
-  /// Tiered-policy enqueue: returns the rejected request when the queue is
-  /// full or closed (the caller sheds it), nullopt on success.
-  [[nodiscard]] std::optional<Pending> try_push(Pending pending);
+  /// Serves one popped request on the calling worker's `executor` and
+  /// resolves its promise, unless it parks as a coalescing follower (its
+  /// leader then delivers it, or re-dispatches it on the leader's
+  /// executor).
+  void process(Pending pending, Executor& executor);
 
   /// Stamps ids/shard/timing, bumps counters/metrics, resolves the promise.
   /// Public so front-end rejects (quota, queue-full, dispatch fault) are
@@ -123,47 +106,43 @@ class ServiceShard {
     std::vector<Pending> followers;
   };
 
-  void worker_loop();
-  void process(Pending pending);
   /// The full pipeline: cache probe, admission decision, solve, cache
   /// store, coalesced delivery. Returns nullopt when the request was parked
   /// as a coalescing follower (the leader will resolve its promise). May
   /// throw ResourceLimitError from a fault site.
-  [[nodiscard]] std::optional<SolveResponse> handle(Pending& pending);
+  [[nodiscard]] std::optional<SolveResponse> handle(Pending& pending,
+                                                    Executor& executor);
   /// The degraded path: MULTIFIT/LPT + polish, never the PTAS, no caching.
   [[nodiscard]] SolveResponse cheap_solve(Pending& pending,
-                                          const std::string& reason);
-  /// Runs the tier's solver on a leased lane — always on the CANONICAL
+                                          const std::string& reason,
+                                          Executor& executor);
+  /// Runs the tier's solver on `executor` — always on the CANONICAL
   /// twin, lifting the schedule back through the request's permutation, so
   /// the response is a pure function of (machines, job multiset, epsilon).
   /// `forced_reason` non-empty means the admission layer picked a degraded
   /// tier and names why.
   [[nodiscard]] SolveResponse run_solver(Pending& pending, Tier tier,
-                                         const std::string& forced_reason);
+                                         const std::string& forced_reason,
+                                         Executor& executor);
   /// An unknown worker exception turned into a structured response
   /// (counter service.internal_errors, note "internal_error").
   [[nodiscard]] SolveResponse internal_error_response(
       const SolveRequest& request, const std::string& what);
   /// Hands the leader's canonical-space result to every parked follower
-  /// (or re-dispatches them when there is no shareable result).
+  /// (or re-dispatches them on `executor` when there is no shareable
+  /// result).
   void conclude_leadership(const Fingerprint& key,
                            const CanonicalInstance& canonical,
-                           const SolveResponse* response);
+                           const SolveResponse* response, Executor& executor);
   [[nodiscard]] const char* solver_key() const {
     return options_.mode == ServiceMode::kPortfolio ? "portfolio" : "ptas";
   }
 
   const int index_;
   const ServiceOptions options_;
-  const std::size_t queue_capacity_;        ///< this shard's slice
-  const std::size_t saturation_watermark_;  ///< this shard's slice
-  std::unique_ptr<BoundedQueue<Pending>> queue_;
-  ExecutorLanes* lanes_;                    ///< shared, owned by the front end
   std::unique_ptr<ResultCache> cache_;      ///< null when caching is disabled
   std::unique_ptr<CircuitBreaker> breaker_;
-  std::function<void(const std::string&)> release_tenant_;
-  std::vector<std::thread> workers_;
-  bool joined_ = false;
+  std::function<std::size_t()> queue_depth_;
 
   std::mutex inflight_mutex_;
   std::unordered_map<Fingerprint, Inflight, FingerprintHasher> inflight_;

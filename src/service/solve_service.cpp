@@ -17,8 +17,8 @@ void bump(obs::Counter counter) {
   if (metrics != nullptr) metrics->add(0, counter);
 }
 
-/// This shard's slice of a service-wide capacity: an even split, never
-/// below 1 (a shard with a zero-capacity queue could not serve at all).
+/// This shard's slice of the service-wide cache capacity: an even split,
+/// never below 1.
 std::size_t slice(std::size_t total, unsigned shards) {
   return std::max<std::size_t>(1, total / shards);
 }
@@ -41,57 +41,55 @@ SolveService::SolveService(ServiceOptions options)
                     options_.shed_pressure >= options_.heavy_pressure,
                 "pressure thresholds must be non-decreasing");
 
-  const unsigned shards = options_.shards;
-  // Worker distribution: an even split with the remainder on the first
-  // shards, and at least one worker per shard (a worker-less shard would
-  // never drain). With workers < shards the effective total grows to
-  // `shards` — documented on ServiceOptions::workers.
-  std::vector<unsigned> shard_workers(shards);
-  unsigned total_workers = 0;
-  for (unsigned s = 0; s < shards; ++s) {
-    shard_workers[s] = std::max(1u, options_.workers / shards +
-                                        (s < options_.workers % shards));
-    total_workers += shard_workers[s];
-  }
-  const unsigned lanes = options_.lanes == 0 ? total_workers : options_.lanes;
-  lanes_ = std::make_unique<ExecutorLanes>(lanes, options_.lane_width);
-
   if (!options_.tenant_weights.empty()) {
     unsigned total_weight = 0;
     for (const auto& [tenant, weight] : options_.tenant_weights) {
       PCMAX_REQUIRE(weight >= 1, "tenant weights must be at least 1");
       total_weight += weight;
     }
-    // Quotas are GLOBAL (counted across shards) against the TOTAL queue
-    // capacity, so tenant shares do not depend on the shard count.
+    // Quotas are counted against the one queue's capacity, so tenant
+    // shares do not depend on the shard count.
     for (const auto& [tenant, weight] : options_.tenant_weights) {
       tenant_caps_[tenant] = std::max<std::size_t>(
           1, options_.queue_capacity * weight / total_weight);
     }
   }
 
-  const std::size_t shard_queue = slice(options_.queue_capacity, shards);
+  const unsigned shards = options_.shards;
   const std::size_t shard_cache =
       options_.cache_capacity == 0 ? 0
                                    : slice(options_.cache_capacity, shards);
-  const std::size_t shard_watermark =
-      options_.saturation_watermark == 0
-          ? 0
-          : slice(options_.saturation_watermark, shards);
+  queue_ = std::make_unique<BoundedQueue<ServiceShard::Pending>>(
+      options_.queue_capacity);
   shards_.reserve(shards);
   for (unsigned s = 0; s < shards; ++s) {
     shards_.push_back(std::make_unique<ServiceShard>(
-        static_cast<int>(s), options_, shard_queue, shard_cache,
-        shard_watermark, shard_workers[s], lanes_.get(),
-        [this](const std::string& tenant) { release_tenant_slot(tenant); }));
+        static_cast<int>(s), options_, shard_cache,
+        [this] { return queue_->size(); }));
+  }
+  workers_.reserve(options_.workers);
+  for (unsigned w = 0; w < options_.workers; ++w) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 SolveService::~SolveService() {
   shutting_down_.store(true, std::memory_order_relaxed);
-  // Close every queue first so all shards drain concurrently, then join.
-  for (auto& shard : shards_) shard->close();
-  for (auto& shard : shards_) shard->join();
+  // Closing the queue lets the workers drain it, then return from pop().
+  queue_->close();
+  for (std::thread& worker : workers_) worker.join();
+}
+
+void SolveService::worker_loop() {
+  WorkStealingExecutor executor(options_.lane_width);
+  while (auto pending = queue_->pop()) {
+    // The tenant quota counts QUEUED requests; the slot frees at dispatch.
+    // Done here (not in process) so coalescing re-dispatch cannot
+    // double-free.
+    release_tenant_slot(pending->request.tenant);
+    const auto shard = static_cast<std::size_t>(pending->shard);
+    shards_[shard]->process(std::move(*pending), executor);
+  }
 }
 
 ServiceShard::Pending SolveService::make_pending(SolveRequest request) {
@@ -119,7 +117,7 @@ ServiceShard::Pending SolveService::make_pending(SolveRequest request) {
 SolveFuture SolveService::submit_async(SolveRequest request) {
   ServiceShard::Pending pending = make_pending(std::move(request));
   // Routing: canonical form, fingerprint, and shard are computed HERE, on
-  // the caller's thread — shard workers never re-canonicalize, and the
+  // the caller's thread — workers never re-canonicalize, and the
   // shard choice is a pure function of the fingerprint.
   pending.canonical.emplace(pending.request.instance);
   return route_and_enqueue(std::move(pending));
@@ -174,9 +172,8 @@ SolveFuture SolveService::route_and_enqueue(ServiceShard::Pending pending) {
   }
 
   // Tenant quota: a capped tenant may hold only its weighted share of the
-  // total queue capacity, counted across shards. The check-and-increment is
-  // atomic under tenant_mutex_; the slot is returned when a shard worker
-  // pops the request.
+  // queue capacity. The check-and-increment is atomic under tenant_mutex_;
+  // the slot is returned when a worker pops the request.
   const std::string& tenant = pending.request.tenant;
   const auto cap = tenant_caps_.find(tenant);
   if (cap != tenant_caps_.end()) {
@@ -195,10 +192,10 @@ SolveFuture SolveService::route_and_enqueue(ServiceShard::Pending pending) {
   }
 
   if (options_.shed_policy == ShedPolicy::kTiered) {
-    // Open-loop admission: a full shard queue sheds instead of blocking the
+    // Open-loop admission: a full queue sheds instead of blocking the
     // submitter, so the arrival loop stays responsive under a storm.
     std::optional<ServiceShard::Pending> rejected =
-        shards_[shard]->try_push(std::move(pending));
+        queue_->try_push(std::move(pending));
     if (rejected.has_value()) {
       release_tenant_slot(rejected->request.tenant);
       SolveResponse shed =
@@ -211,7 +208,7 @@ SolveFuture SolveService::route_and_enqueue(ServiceShard::Pending pending) {
     }
     return future;
   }
-  if (!shards_[shard]->push_blocking(std::move(pending))) {
+  if (!queue_->push(std::move(pending))) {
     release_tenant_slot(tenant);
     throw Error("service is shutting down");
   }
@@ -259,13 +256,9 @@ ServiceStats SolveService::stats() const {
     stats.breaker.consecutive_failures =
         std::max(stats.breaker.consecutive_failures,
                  s.breaker.consecutive_failures);
-    // Each shard's watermark is bounded by its own capacity, hence by the
-    // configured total — the max preserves the PR 4 invariant
-    // (watermark <= queue_capacity) at any shard count.
-    stats.queue_high_watermark =
-        std::max(stats.queue_high_watermark, s.queue_high_watermark);
     stats.shards.push_back(std::move(s));
   }
+  stats.queue_high_watermark = queue_->high_watermark();
   return stats;
 }
 

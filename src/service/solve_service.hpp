@@ -9,14 +9,17 @@
 //
 //  * every request is CANONICALIZED and FINGERPRINTED at submission
 //    (core/fingerprint): permuted duplicates share one 128-bit key, and
-//    shard_index(key, N) ROUTES the request to one of N INDEPENDENT SHARDS
-//    (service/shard.hpp). Each shard owns its own bounded queue, workers,
-//    result-cache slice, coalescing map, circuit breaker, and tiered shed
-//    state — there is no cross-shard lock on the serving path, so shards
-//    scale throughput with cores. Duplicates always land on one shard, so
-//    per-shard caches and coalescing maps lose no matches, and responses
-//    stay byte-identical to the 1-shard (PR 7) service
+//    shard_index(key, N) ROUTES the request to one of N SHARDS
+//    (service/shard.hpp). Each shard owns its own result-cache slice,
+//    coalescing map and circuit breaker — there is no cross-shard lock on
+//    the serving path. Duplicates always land on one shard, so per-shard
+//    caches and coalescing maps lose no matches, and responses stay
+//    byte-identical to the 1-shard service
 //    (tests/service_shard_equivalence_test.cpp);
+//  * every routed request joins ONE bounded queue, and `workers` threads
+//    serve every shard from it: whichever worker is idle takes the next
+//    request (Graham's list scheduling), so a request never waits for one
+//    shard's worker while another worker is idle;
 //  * submit_async returns a SolveFuture (service/solve_future.hpp):
 //    value-or-structured-shed, then() continuations that run exactly once,
 //    and deadline-aware get_within_ms that answers "shed:deadline" instead
@@ -27,14 +30,13 @@
 //    pure function of machines + job multiset + epsilon); CONCURRENT
 //    DUPLICATES COALESCE behind one leader; the ADMISSION layer degrades
 //    per request (full -> lite -> heuristic -> structured shed) from a
-//    pressure signal over the shard's queue depth, deadline headroom and
-//    breaker state; a CIRCUIT BREAKER per shard skips a rung that keeps
-//    failing; PER-TENANT WEIGHTED QUOTAS are enforced GLOBALLY (across
-//    shards) at submission;
-//  * solver parallelism comes from a SHARED set of persistent executor
-//    lanes (parallel/executor_lanes) spanning all shards: per-request
-//    parallelism is capped at the lane width, so one big PTAS solve can
-//    never starve small requests, and no threads are spawned per request.
+//    pressure signal over the queue depth, deadline headroom and breaker
+//    state; a CIRCUIT BREAKER per shard skips a rung that keeps failing;
+//    PER-TENANT WEIGHTED QUOTAS are enforced at submission;
+//  * each worker owns one executor of `lane_width` threads for its
+//    solves' parallel regions: per-request parallelism is capped at the
+//    lane width, total solver parallelism at workers * lane_width, and no
+//    threads are spawned per request.
 //
 // Worker-thread errors: resource-shaped ones degrade (and if even the
 // degraded rung trips, the request is shed with provenance, never dropped);
@@ -46,8 +48,9 @@
 //
 // Results that DEGRADED are never cached: a cache must only ever serve the
 // full-fidelity answer for a key. Fault sites "service.shard.dispatch"
-// (routing), "service.request", "service.cache", "breaker.allow", and
-// "service.future" (delivery) let tests trip any path deterministically;
+// (routing), "service.request", "service.cache", "breaker.allow",
+// "service.coalesce" (a follower parking) and "service.future" (delivery)
+// let tests trip or observe any path deterministically;
 // the chaos harness (ChaosInjector) storms all of them.
 #pragma once
 
@@ -58,10 +61,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/breaker.hpp"
-#include "parallel/executor_lanes.hpp"
+#include "parallel/bounded_queue.hpp"
 #include "service/service_types.hpp"
 #include "service/shard.hpp"
 #include "service/solve_future.hpp"
@@ -72,8 +76,8 @@ class SolveService {
  public:
   explicit SolveService(ServiceOptions options = {});
 
-  /// Closes admission, drains every queued request on every shard (all
-  /// futures resolve), and joins the workers.
+  /// Closes admission, drains every queued request (all futures resolve),
+  /// and joins the workers.
   ~SolveService();
 
   SolveService(const SolveService&) = delete;
@@ -81,11 +85,11 @@ class SolveService {
 
   /// Submits one request and returns its SolveFuture. Routing (canonical
   /// form, fingerprint, shard) happens here, on the caller's thread. Under
-  /// the static policy, blocks while the destination shard's queue is full
-  /// (backpressure); under the tiered policy, the future resolves
-  /// immediately with a structured shed response instead. Tenant-quota
-  /// rejects resolve the same way under either policy. Throws Error once
-  /// the service is shutting down.
+  /// the static policy, blocks while the queue is full (backpressure);
+  /// under the tiered policy, the future resolves immediately with a
+  /// structured shed response instead. Tenant-quota rejects resolve the
+  /// same way under either policy. Throws Error once the service is
+  /// shutting down.
   [[nodiscard]] SolveFuture submit_async(SolveRequest request);
 
   /// Incremental fast path: submits a request whose canonical form (and
@@ -111,8 +115,8 @@ class SolveService {
   /// propagate when their response is collected.
   std::vector<SolveResponse> solve_batch(std::vector<SolveRequest> requests);
 
-  /// Aggregated over every shard (sums; queue_high_watermark is the max),
-  /// with the per-shard breakdown in `.shards`.
+  /// Summed over every shard, with the per-shard breakdown in `.shards`;
+  /// queue_high_watermark is the service queue's own.
   [[nodiscard]] ServiceStats stats() const;
   [[nodiscard]] const ServiceOptions& options() const { return options_; }
   /// Shard 0's breaker (with the default shards = 1, THE breaker) — for
@@ -133,8 +137,11 @@ class SolveService {
 
  private:
   /// Returns a capped tenant's queue slot (no-op for uncapped tenants).
-  /// Passed to every shard; shard workers call it at pop.
+  /// Workers call it at pop.
   void release_tenant_slot(const std::string& tenant);
+  /// One worker: owns an executor of `lane_width` threads, pops requests
+  /// until the queue is closed and drained, and hands each to its shard.
+  void worker_loop();
   [[nodiscard]] double effective_epsilon(const SolveRequest& request) const;
   /// Shared submission head: id, deadline/token, effective epsilon.
   [[nodiscard]] ServiceShard::Pending make_pending(SolveRequest request);
@@ -143,8 +150,9 @@ class SolveService {
   [[nodiscard]] SolveFuture route_and_enqueue(ServiceShard::Pending pending);
 
   ServiceOptions options_;
-  std::unique_ptr<ExecutorLanes> lanes_;  ///< shared by all shards
+  std::unique_ptr<BoundedQueue<ServiceShard::Pending>> queue_;
   std::vector<std::unique_ptr<ServiceShard>> shards_;
+  std::vector<std::thread> workers_;
 
   std::mutex tenant_mutex_;
   std::map<std::string, std::size_t> tenant_queued_;

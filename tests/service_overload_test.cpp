@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/fingerprint.hpp"
 #include "core/instance.hpp"
 #include "core/instance_gen.hpp"
 #include "service/solve_service.hpp"
@@ -114,6 +115,31 @@ class GateThenThrowHandler final : public FaultHandler {
   std::condition_variable gate_;
   bool blocked_ = false;
   bool released_ = false;
+};
+
+/// A GateHandler that also counts the hits of "service.coalesce". That site
+/// is hit under the shard's in-flight lock just before a follower parks, so
+/// once it has counted k hits, k followers are parked behind the leader.
+class CoalesceCountingGate final : public FaultHandler {
+ public:
+  explicit CoalesceCountingGate(const char* site) : gate_(site) {}
+
+  void on_hit(const char* site) override {
+    if (std::strcmp(site, "service.coalesce") == 0) {
+      parked_.fetch_add(1, std::memory_order_relaxed);
+    }
+    gate_.on_hit(site);
+  }
+
+  [[nodiscard]] std::uint64_t parked() const {
+    return parked_.load(std::memory_order_relaxed);
+  }
+  void wait_until_blocked() { gate_.wait_until_blocked(); }
+  void release() { gate_.release(); }
+
+ private:
+  GateHandler gate_;
+  std::atomic<std::uint64_t> parked_{0};
 };
 
 Instance overload_instance(int seed) {
@@ -242,15 +268,21 @@ TEST(ServiceOverload, CoalescingSharesOneInflightSolve) {
 
   // Freeze the leader INSIDE its solve: leadership is registered before
   // run_solver, so every duplicate dispatched meanwhile must park. Every
-  // duplicate routes to the leader's shard, so coalescing must fire at each
-  // shard count as long as that shard has more than one worker.
-  for (const unsigned shards : {1u, 2u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    GateHandler gate("bisection.probe");
+  // duplicate routes to the leader's shard, and every worker serves every
+  // shard, so coalescing must fire whenever the service has a second
+  // worker — also at one worker per shard.
+  struct Arm {
+    unsigned shards;
+    unsigned workers;
+  };
+  for (const Arm arm : {Arm{1, 4}, Arm{2, 8}, Arm{2, 2}}) {
+    SCOPED_TRACE("shards=" + std::to_string(arm.shards) +
+                 " workers=" + std::to_string(arm.workers));
+    CoalesceCountingGate gate("bisection.probe");
     FaultScope scope(gate);
     ServiceOptions options;
-    options.shards = shards;
-    options.workers = 4 * shards;
+    options.shards = arm.shards;
+    options.workers = arm.workers;
     options.queue_capacity = 32;
     SolveService service(options);
 
@@ -261,15 +293,13 @@ TEST(ServiceOverload, CoalescingSharesOneInflightSolve) {
     for (int i = 0; i < kFollowers; ++i) {
       futures.push_back(service.submit(SolveRequest{instance}));
     }
-    // Every follower probes the cache (miss) exactly once before parking:
-    // misses reaching 1 + kFollowers means all of them are parked. A
-    // follower that does not park solves and caches the key, so the later
-    // ones hit and the count stalls; the wait gives up after 10 s, and the
-    // checks below fail instead of the test hanging.
+    // Wait until every follower is parked. A follower that does not park
+    // solves and caches the key, so the later ones hit and the count
+    // stalls; the wait gives up after 10 s, and the checks below fail
+    // instead of the test hanging.
     const auto give_up =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (service.stats().cache.misses <
-               static_cast<std::uint64_t>(1 + kFollowers) &&
+    while (gate.parked() < static_cast<std::uint64_t>(kFollowers) &&
            std::chrono::steady_clock::now() < give_up) {
       std::this_thread::yield();
     }
@@ -295,6 +325,47 @@ TEST(ServiceOverload, CoalescingSharesOneInflightSolve) {
     // One solve, one cache store: misses reflect probes, not extra solves.
     EXPECT_EQ(stats.cache.misses, static_cast<std::uint64_t>(1 + kFollowers));
   }
+}
+
+// Every worker serves every shard: a cache hit is answered by an idle
+// worker even while another worker is frozen in a miss of the same shard.
+TEST(ServiceOverload, HitIsServedWhileAMissOfItsShardIsFrozen) {
+  ServiceOptions options;
+  options.shards = 2;
+  options.workers = 2;
+  SolveService service(options);
+
+  // Warm key K.
+  const Instance warm = ptas_instance(70);
+  ASSERT_FALSE(service.submit(SolveRequest{warm}).get().cache_hit);
+  const std::size_t home = service.shard_of(
+      request_fingerprint(CanonicalInstance(warm), options.epsilon));
+
+  // A miss routed to K's shard.
+  int seed = 71;
+  while (service.shard_of(request_fingerprint(
+             CanonicalInstance(ptas_instance(seed)), options.epsilon)) !=
+         home) {
+    ++seed;
+  }
+  GateHandler gate("bisection.probe");
+  FaultScope scope(gate);
+  SolveFuture miss = service.submit(SolveRequest{ptas_instance(seed)});
+  gate.wait_until_blocked();
+
+  // A permuted K hits the cache on the other worker while the miss is
+  // still frozen.
+  std::vector<Time> times(warm.times().begin(), warm.times().end());
+  std::reverse(times.begin(), times.end());
+  SolveFuture hit =
+      service.submit(SolveRequest{Instance(warm.machines(), times)});
+  const SolveResponse response = hit.get_within_ms(2000);
+  EXPECT_TRUE(response.cache_hit) << response.degradation_reason;
+  EXPECT_EQ(static_cast<std::size_t>(response.shard), home);
+  EXPECT_FALSE(miss.ready());
+
+  gate.release();
+  EXPECT_EQ(miss.get().degradation_reason, "none");
 }
 
 TEST(ServiceOverload, CoalescingOffSolvesEveryDuplicate) {

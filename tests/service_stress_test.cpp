@@ -45,7 +45,6 @@ TEST(ServiceStress, ConcurrentSubmittersLoseNoResponses) {
   constexpr int kPerSubmitter = 12;
   ServiceOptions options;
   options.workers = 4;
-  options.lanes = 2;  // fewer lanes than workers: second admission gate
   options.lane_width = 1;
   options.queue_capacity = 4;  // small: submitters block on backpressure
   options.cache_capacity = 4;  // small: real evictions under load

@@ -337,14 +337,14 @@ int cmd_batch(int argc, const char* const* argv) {
   cli.add_string("file", "", "instance file (required)");
   cli.add_int("workers", 2, "service worker threads");
   cli.add_int("shards", 1,
-              "independent service shards (fingerprint-routed queues, "
-              "caches, breakers)");
+              "service shards (fingerprint-routed caches, coalescing maps, "
+              "breakers)");
   cli.add_int("async-window", 0,
               "submit through submit_async with at most N requests in "
               "flight, harvesting futures in submission order (0 = "
               "blocking solve_batch)");
-  cli.add_int("lane-width", 1, "per-request parallelism cap (executor lane width)");
-  cli.add_int("lanes", 0, "shared executor lanes (0 = one per worker)");
+  cli.add_int("lane-width", 1,
+              "per-request parallelism cap (each worker's executor width)");
   cli.add_int("queue", 64, "bounded request-queue capacity");
   cli.add_int("cache", 1024, "result-cache capacity in entries (0 disables)");
   cli.add_string("mode", "resilient",
@@ -432,7 +432,6 @@ int cmd_batch(int argc, const char* const* argv) {
                 "--async-window must be non-negative");
   options.shards = static_cast<unsigned>(cli.get_int("shards"));
   options.lane_width = static_cast<unsigned>(cli.get_int("lane-width"));
-  options.lanes = static_cast<unsigned>(cli.get_int("lanes"));
   options.queue_capacity = static_cast<std::size_t>(cli.get_int("queue"));
   options.cache_capacity = static_cast<std::size_t>(cli.get_int("cache"));
   options.epsilon = cli.get_double("epsilon");
