@@ -66,16 +66,18 @@ DpBackendFn PtasSolver::make_backend(const CancellationToken& cancel) const {
                                : ParallelDpVariant::kBucketed;
       dp_options.kernel = options_.kernel;
       dp_options.cancel = cancel;
-      // A team-sweep fill too small to split runs inline on the caller as
-      // dp_bottom_up (the same table; see kTeamFillMinWork). Only a team
-      // wider than one thread has a hand-off and barrier waits to save.
-      const bool team_sweep = options_.engine == DpEngine::kParallelBucketed &&
-                              options_.executor->team_size() > 1;
-      return [dp_options, team_sweep, sequential](const RoundedInstance& rounded,
-                                                  const StateSpace& space,
-                                                  const ConfigSet& configs) {
-        if (team_sweep && static_cast<std::uint64_t>(space.size()) * configs.count() <
-                              kTeamFillMinWork) {
+      // A bucketed fill splits across its team only when the team is wider
+      // than one thread and the fill reaches kTeamFillMinWork. Every other
+      // bucketed fill runs inline on the caller as dp_bottom_up, the same
+      // table without the sweep's level-order walk (see kTeamFillMinWork).
+      const bool bucketed = options_.engine == DpEngine::kParallelBucketed;
+      const bool team = options_.executor->team_size() > 1;
+      return [dp_options, bucketed, team, sequential](const RoundedInstance& rounded,
+                                                      const StateSpace& space,
+                                                      const ConfigSet& configs) {
+        const std::uint64_t work =
+            static_cast<std::uint64_t>(space.size()) * configs.count();
+        if (bucketed && (!team || work < kTeamFillMinWork)) {
           return dp_bottom_up(rounded, space, configs, sequential);
         }
         return dp_parallel(rounded, space, configs, dp_options);

@@ -35,10 +35,10 @@ enum class DpEngine {
 std::string dp_engine_name(DpEngine engine);
 
 /// Work sigma * |C| (table entries times configurations) from which the
-/// kParallelBucketed engine (team wider than one thread) splits a DP fill
-/// across its team. A smaller fill runs inline on the calling thread as
-/// dp_bottom_up: no hand-off, no barrier waits, and the same table, since
-/// every engine fills identical values.
+/// kParallelBucketed engine splits a DP fill across a team wider than one
+/// thread. A smaller fill, and every fill of a team of one, runs inline on
+/// the calling thread as dp_bottom_up: no hand-off, no barrier waits, and
+/// the same table, since every engine fills identical values.
 ///
 /// Measured per probe fill (min of 7 batches) on the probes of random
 /// U(1,100) / U(1,10n) / U(1,2m-1) / U(m,2m-1) instances at m/n = 20/100,

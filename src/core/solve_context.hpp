@@ -13,8 +13,6 @@
 //    and prune/clamp against it (the PTAS bisection tightens its initial
 //    upper bound, the MILP branch-and-bound prunes against it); see
 //    core/portfolio.hpp.
-//  * thread_budget — advisory parallelism cap for solvers that own their
-//    threads (0 = solver default).
 //  * metrics / fault — optional ambient-scope installations for the solve's
 //    duration. Both scopes are PROCESS-WIDE (obs::MetricsScope /
 //    FaultScope semantics), so only single-driver processes — the CLI,
@@ -81,9 +79,6 @@ struct SolveContext {
   /// Wall-clock budget of this solve; unlimited by default. Linked under
   /// `cancel` by effective_token(), never merged into the caller's token.
   Deadline deadline;
-
-  /// Advisory parallelism cap for solvers that own threads (0 = default).
-  unsigned thread_budget = 0;
 
   /// Optional shared incumbent-makespan board (see IncumbentBoard).
   std::shared_ptr<IncumbentBoard> incumbent;

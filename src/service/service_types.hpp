@@ -1,8 +1,9 @@
-// Value types shared by the sharded solve service: configuration
+// Value types of the sharded solve service: configuration
 // (ServiceOptions), the request/response pair, and the stats snapshots.
-// Split out of solve_service.hpp so the shard runtime (service/shard.hpp)
-// and the front end (service/solve_service.hpp) can both name them without
-// a cycle; external code keeps including solve_service.hpp.
+// Split out of solve_service.hpp to break an include cycle: SolveService
+// hands out SolveFutures and queues SolvePromises (service/solve_future.hpp),
+// while the future and promise carry a SolveResponse. External code keeps
+// including solve_service.hpp.
 #pragma once
 
 #include <cstddef>
@@ -34,13 +35,13 @@ enum class ServiceMode {
 
 /// How admission maps pressure onto the solver ladder.
 enum class ShedPolicy {
-  /// PR 4 semantics, bit-for-bit: block in submit() while the queue is
-  /// full; degrade to the lite tier when the queue is saturated at
-  /// dispatch or the deadline is nearly spent. Never sheds.
+  /// Backpressure: block in submit_async() while the queue is full;
+  /// degrade to the lite tier when the queue is full at dispatch or the
+  /// deadline is nearly spent. Never sheds.
   kStatic,
-  /// Graduated overload handling: submit() sheds (structured reject) when
-  /// the queue is full; at dispatch a pressure score over queue depth,
-  /// deadline headroom, and breaker state selects
+  /// Graduated overload handling: submit_async() sheds (a structured
+  /// reject) when the queue is full; at dispatch a pressure score over
+  /// queue depth, deadline headroom, and breaker state selects
   /// full -> lite -> heuristic -> shed.
   kTiered,
 };
@@ -80,11 +81,6 @@ struct ServiceOptions {
   /// Wall-clock budget applied to requests that do not set their own, in
   /// milliseconds from ADMISSION (queue wait spends budget); 0 = unlimited.
   std::int64_t default_time_limit_ms = 0;
-
-  /// Queue depth at dispatch at/above which a request degrades to the cheap
-  /// path ("queue-saturated"). 0 = queue_capacity, i.e. degrade only while
-  /// the queue is completely full behind this request. Static policy only.
-  std::size_t saturation_watermark = 0;
 
   /// A request whose remaining budget is below this at dispatch degrades to
   /// the cheap path ("deadline-near") instead of starting a doomed PTAS.

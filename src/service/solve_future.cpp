@@ -43,15 +43,6 @@ void SolveFuture::wait() const {
   state_->ready_cv.wait(lock, [&] { return state_->delivered; });
 }
 
-bool SolveFuture::wait_for_ms(std::int64_t ms) const {
-  PCMAX_REQUIRE(state_ != nullptr, "wait_for_ms() on an invalid SolveFuture");
-  std::unique_lock lock(state_->mutex);
-  return state_->ready_cv.wait_for(lock,
-                                   std::chrono::milliseconds(std::max<
-                                       std::int64_t>(0, ms)),
-                                   [&] { return state_->delivered; });
-}
-
 SolveResponse SolveFuture::get() const {
   PCMAX_REQUIRE(state_ != nullptr, "get() on an invalid SolveFuture");
   std::unique_lock lock(state_->mutex);

@@ -83,9 +83,6 @@ class SolveFuture {
   /// Blocks until delivery.
   void wait() const;
 
-  /// Blocks up to `ms` milliseconds; true when delivered within the budget.
-  [[nodiscard]] bool wait_for_ms(std::int64_t ms) const;
-
   /// Blocks until delivery; returns a copy of the response (repeatable) or
   /// rethrows the delivered exception.
   [[nodiscard]] SolveResponse get() const;

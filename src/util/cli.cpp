@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <new>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -152,6 +153,9 @@ int run_main(const std::function<int()>& body) {
     return body();
   } catch (const Error& e) {
     std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  } catch (const std::bad_alloc& e) {
+    std::cerr << "error: out of memory (" << e.what() << ")\n";
     return 1;
   }
 }

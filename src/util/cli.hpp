@@ -60,7 +60,8 @@ class CliParser {
 };
 
 /// Runs a binary's main body. A pcmax::Error escaping it (a malformed flag,
-/// an invalid option value) prints `error: <what>` to stderr and returns 1
+/// an invalid option value) or a std::bad_alloc (an instance too large for
+/// the memory at hand) prints `error: <what>` to stderr and returns 1
 /// instead of terminating the process.
 int run_main(const std::function<int()>& body);
 

@@ -142,7 +142,7 @@ TEST(ChaosSoak, ServiceSurvivesAStormAcrossEveryRegisteredSite) {
     for (int seed = 0; seed < 3; ++seed) {
       const SolveResponse response =
           service
-              .submit(SolveRequest{generate_instance(
+              .submit_async(SolveRequest{generate_instance(
                   InstanceFamily::kUniform1To100, 4, 20,
                   static_cast<std::uint64_t>(seed), 0)})
               .get();
@@ -190,7 +190,7 @@ TEST(ChaosSoak, ServiceSurvivesAStormAcrossEveryRegisteredSite) {
             InstanceFamily::kUniform1To100, 3, 14,
             static_cast<std::uint64_t>((s + i) % 8), 0);
         const SolveResponse response =
-            service.submit(SolveRequest{instance}).get();
+            service.submit_async(SolveRequest{instance}).get();
         ASSERT_FALSE(response.degradation_reason.empty());
         if (response.shed) {
           // Structured reject: provenance instead of a schedule.

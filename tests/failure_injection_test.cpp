@@ -101,7 +101,9 @@ TEST(FailureInjection, ExecutorFailurePropagatesThroughTheParallelDp) {
       generate_instance(InstanceFamily::kUniform1To100, 4, 20, 2, 0);
   FlakyExecutor executor(/*fail_after=*/3);
   PtasOptions options;
-  options.engine = DpEngine::kParallelBucketed;
+  // The scan-per-level engine hands every level to the executor. The
+  // bucketed engine would fill inline here: a team of one never splits.
+  options.engine = DpEngine::kParallelScan;
   options.executor = &executor;
   PtasSolver solver(options);
   EXPECT_THROW((void)solver.solve(instance), std::runtime_error);
@@ -312,7 +314,8 @@ TEST(FaultInjection, ServiceRequestFaultDegradesWithProvenance) {
                          FaultInjector::Action::kThrow);
   FaultScope scope(injector);
   SolveService service(options);
-  const SolveResponse faulted = service.submit(SolveRequest{instance}).get();
+  const SolveResponse faulted =
+      service.submit_async(SolveRequest{instance}).get();
   EXPECT_TRUE(injector.fired());
   faulted.schedule.validate(instance);
   EXPECT_TRUE(faulted.degraded);
@@ -321,10 +324,12 @@ TEST(FaultInjection, ServiceRequestFaultDegradesWithProvenance) {
   EXPECT_FALSE(faulted.cache_hit);
   // The follow-up must MISS (no poisoned cache), solve healthily, and only
   // then seed the cache.
-  const SolveResponse fresh = service.submit(SolveRequest{instance}).get();
+  const SolveResponse fresh =
+      service.submit_async(SolveRequest{instance}).get();
   EXPECT_FALSE(fresh.cache_hit);
   EXPECT_FALSE(fresh.degraded) << fresh.degradation_reason;
-  const SolveResponse cached = service.submit(SolveRequest{instance}).get();
+  const SolveResponse cached =
+      service.submit_async(SolveRequest{instance}).get();
   EXPECT_TRUE(cached.cache_hit);
   EXPECT_EQ(cached.makespan, fresh.makespan);
 }
@@ -339,7 +344,8 @@ TEST(FaultInjection, ServiceCacheLookupFaultBypassesToARecompute) {
                          FaultInjector::Action::kThrow);
   FaultScope scope(injector);
   SolveService service(options);
-  const SolveResponse bypassed = service.submit(SolveRequest{instance}).get();
+  const SolveResponse bypassed =
+      service.submit_async(SolveRequest{instance}).get();
   EXPECT_TRUE(injector.fired());
   bypassed.schedule.validate(instance);
   EXPECT_FALSE(bypassed.degraded) << bypassed.degradation_reason;
@@ -348,7 +354,7 @@ TEST(FaultInjection, ServiceCacheLookupFaultBypassesToARecompute) {
   EXPECT_EQ(bypassed.notes.at("cache").find("lookup-bypassed"), 0u)
       << bypassed.notes.at("cache");
   // The store after the bypassed lookup succeeded: next request hits.
-  const SolveResponse hit = service.submit(SolveRequest{instance}).get();
+  const SolveResponse hit = service.submit_async(SolveRequest{instance}).get();
   EXPECT_TRUE(hit.cache_hit);
   EXPECT_EQ(hit.makespan, bypassed.makespan);
 }
@@ -364,7 +370,8 @@ TEST(FaultInjection, ServiceCacheStoreFaultSkipsCachingButAnswers) {
                          FaultInjector::Action::kThrow);
   FaultScope scope(injector);
   SolveService service(options);
-  const SolveResponse skipped = service.submit(SolveRequest{instance}).get();
+  const SolveResponse skipped =
+      service.submit_async(SolveRequest{instance}).get();
   EXPECT_TRUE(injector.fired());
   skipped.schedule.validate(instance);
   EXPECT_FALSE(skipped.degraded) << skipped.degradation_reason;
@@ -372,10 +379,11 @@ TEST(FaultInjection, ServiceCacheStoreFaultSkipsCachingButAnswers) {
   EXPECT_EQ(skipped.notes.at("cache").find("store-skipped"), 0u)
       << skipped.notes.at("cache");
   // Nothing was cached: the next request misses, solves, and stores.
-  const SolveResponse fresh = service.submit(SolveRequest{instance}).get();
+  const SolveResponse fresh =
+      service.submit_async(SolveRequest{instance}).get();
   EXPECT_FALSE(fresh.cache_hit);
   EXPECT_EQ(fresh.makespan, skipped.makespan);
-  EXPECT_TRUE(service.submit(SolveRequest{instance}).get().cache_hit);
+  EXPECT_TRUE(service.submit_async(SolveRequest{instance}).get().cache_hit);
 }
 
 TEST(FaultInjection, ServiceQueueDrainsUnderARequestFault) {
@@ -393,7 +401,7 @@ TEST(FaultInjection, ServiceQueueDrainsUnderARequestFault) {
     SolveService service(options);
     std::vector<SolveFuture> futures;
     for (int i = 0; i < 6; ++i) {
-      futures.push_back(service.submit(SolveRequest{instance}));
+      futures.push_back(service.submit_async(SolveRequest{instance}));
     }
     for (auto& future : futures) {
       const SolveResponse response = future.get();
@@ -418,7 +426,7 @@ TEST(FaultInjection, ServiceShardDispatchFaultShedsStructurally) {
                          FaultInjector::Action::kThrow);
   FaultScope scope(injector);
   SolveService service(options);
-  const SolveResponse shed = service.submit(SolveRequest{instance}).get();
+  const SolveResponse shed = service.submit_async(SolveRequest{instance}).get();
   EXPECT_TRUE(injector.fired());
   EXPECT_TRUE(shed.shed);
   EXPECT_EQ(shed.degradation_reason, "shed:dispatch-fault");
@@ -431,12 +439,13 @@ TEST(FaultInjection, ServiceShardDispatchFaultShedsStructurally) {
   // The injector is spent: the identical follow-up flows through the full
   // pipeline, misses (the shed was never cached), solves, and seeds the
   // cache — proving no queue slot or coalescing entry leaked.
-  const SolveResponse fresh = service.submit(SolveRequest{instance}).get();
+  const SolveResponse fresh =
+      service.submit_async(SolveRequest{instance}).get();
   EXPECT_FALSE(fresh.shed);
   EXPECT_FALSE(fresh.degraded) << fresh.degradation_reason;
   EXPECT_FALSE(fresh.cache_hit);
   fresh.schedule.validate(instance);
-  EXPECT_TRUE(service.submit(SolveRequest{instance}).get().cache_hit);
+  EXPECT_TRUE(service.submit_async(SolveRequest{instance}).get().cache_hit);
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.requests, 3);
   EXPECT_EQ(stats.shed_overload, 1);
@@ -454,7 +463,8 @@ TEST(FaultInjection, ServiceFutureFaultNeverLosesTheResponse) {
                          FaultInjector::Action::kThrow);
   FaultScope scope(injector);
   SolveService service(options);
-  const SolveResponse survived = service.submit(SolveRequest{instance}).get();
+  const SolveResponse survived =
+      service.submit_async(SolveRequest{instance}).get();
   EXPECT_TRUE(injector.fired());
   survived.schedule.validate(instance);
   EXPECT_FALSE(survived.shed);
@@ -464,7 +474,7 @@ TEST(FaultInjection, ServiceFutureFaultNeverLosesTheResponse) {
       << survived.notes.at("future_fault");
   // Delivery completed normally: the future is repeatable and the cache was
   // seeded by the same healthy pipeline pass.
-  const SolveResponse hit = service.submit(SolveRequest{instance}).get();
+  const SolveResponse hit = service.submit_async(SolveRequest{instance}).get();
   EXPECT_TRUE(hit.cache_hit);
   EXPECT_EQ(hit.makespan, survived.makespan);
   EXPECT_FALSE(hit.notes.count("future_fault"));
@@ -555,7 +565,7 @@ TEST(FaultSiteRegistry, EnumeratesEverySiteTheSubsystemsHit) {
     // Service front end: service.shard.dispatch, service.request,
     // service.cache, breaker.allow, service.future.
     SolveService service(ServiceOptions{});
-    (void)service.submit(SolveRequest{instance}).get();
+    (void)service.submit_async(SolveRequest{instance}).get();
   }
   {
     // Portfolio race: portfolio.racer, portfolio.incumbent.

@@ -284,29 +284,39 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(DpKernel::kSwar, DpKernel::kAvx2)),
     crosscheck_name);
 
-/// pool.regions of one PtasSolver solve, and the solve's probe trace.
-std::pair<std::uint64_t, PtasResult> solve_counting_regions(
-    const Instance& instance, const PtasOptions& options) {
-  obs::Metrics metrics(4);
+/// One PtasSolver solve seen through the metrics layer: its pool.regions,
+/// its DP-run records, and the solve with its probe trace.
+struct ObservedSolve {
+  std::uint64_t regions = 0;
+  std::vector<obs::DpRunRecord> runs;
   PtasResult result;
+};
+
+ObservedSolve solve_observed(const Instance& instance, const PtasOptions& options) {
+  obs::Metrics metrics(4);
+  ObservedSolve observed;
   {
     const obs::MetricsScope scope(metrics);
-    result = PtasSolver(options).solve_with_trace(instance);
+    observed.result = PtasSolver(options).solve_with_trace(instance);
   }
-  return {metrics.counter_total(obs::Counter::kPoolRegions), std::move(result)};
+  observed.regions = metrics.counter_total(obs::Counter::kPoolRegions);
+  observed.runs = metrics.dp_runs();
+  return observed;
 }
 
 TEST(DpCrossCheck, PtasSolverFillsInlineBelowTheCutoffAndInOneTeamAbove) {
   if constexpr (!obs::kMetricsEnabled) GTEST_SKIP() << "PCMAX_METRICS is OFF";
-  // Below kTeamFillMinWork a parallel-bucketed fill runs inline (no region);
-  // at or above it the fill is exactly one team episode. Either way the
-  // makespan is the sequential engine's.
+  // On a team of two, a parallel-bucketed fill below kTeamFillMinWork runs
+  // inline (no region), and at or above it the fill is exactly one team
+  // episode. A team of one runs every fill inline as dp_bottom_up. Either
+  // way the makespan is the sequential engine's.
   const auto work = [](const BisectionIteration& probe) {
     return static_cast<std::uint64_t>(probe.table_size) * probe.config_count;
   };
   const Instance small = generate_instance(InstanceFamily::kUniform1To100, 5, 30, 3, 0);
   const Instance large = generate_instance(InstanceFamily::kUniform1To100, 10, 50, 3, 0);
-  WorkStealingExecutor executor(2);
+  WorkStealingExecutor team_of_two(2);
+  WorkStealingExecutor team_of_one(1);
   for (const auto& [instance, epsilon] :
        {std::pair{&small, 0.3}, std::pair{&large, 0.2}}) {
     PtasOptions options;
@@ -314,12 +324,12 @@ TEST(DpCrossCheck, PtasSolverFillsInlineBelowTheCutoffAndInOneTeamAbove) {
     options.keep_trace = true;
     const Time expected = PtasSolver(options).solve(*instance).makespan;
     options.engine = DpEngine::kParallelBucketed;
-    options.executor = &executor;
-    const auto [regions, result] = solve_counting_regions(*instance, options);
+    options.executor = &team_of_two;
+    const ObservedSolve observed = solve_observed(*instance, options);
     // Every row but the last is a fill the search ran. The last copies the
     // last feasible probe's row, and no fill runs for it.
-    const std::span<const BisectionIteration> probes =
-        std::span(result.bisection.trace).first(result.bisection.trace.size() - 1);
+    const std::vector<BisectionIteration>& trace = observed.result.bisection.trace;
+    const std::span<const BisectionIteration> probes = std::span(trace).first(trace.size() - 1);
     const std::string what = "eps " + std::to_string(epsilon);
     ASSERT_TRUE(std::any_of(probes.begin(), probes.end(),
                             [](const BisectionIteration& it) { return it.feasible; }))
@@ -333,8 +343,17 @@ TEST(DpCrossCheck, PtasSolverFillsInlineBelowTheCutoffAndInOneTeamAbove) {
     } else {
       EXPECT_GT(above, 0u) << what;
     }
-    EXPECT_EQ(regions, above) << what;
-    EXPECT_EQ(result.makespan, expected) << what;
+    EXPECT_EQ(observed.regions, above) << what;
+    EXPECT_EQ(observed.result.makespan, expected) << what;
+
+    options.executor = &team_of_one;
+    const ObservedSolve solo = solve_observed(*instance, options);
+    EXPECT_EQ(solo.regions, 0u) << what;
+    EXPECT_EQ(solo.runs.size(), probes.size()) << what;
+    for (const obs::DpRunRecord& run : solo.runs) {
+      EXPECT_EQ(run.variant, "bottom-up") << what;
+    }
+    EXPECT_EQ(solo.result.makespan, expected) << what;
   }
 }
 

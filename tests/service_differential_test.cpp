@@ -68,7 +68,7 @@ TEST(ServiceDifferential, MissesMatchFreshCanonicalSolvesByteForByte) {
     for (const auto& [m, n] : {std::pair{3, 12}, std::pair{5, 24}}) {
       const Instance instance = generate_instance(family, m, n, 17, 0);
       const SolveResponse response =
-          service.submit(SolveRequest{instance}).get();
+          service.submit_async(SolveRequest{instance}).get();
       const Reference expected = reference_solve(instance, options);
       EXPECT_FALSE(response.cache_hit) << family_name(family);
       EXPECT_FALSE(response.degraded) << response.degradation_reason;
@@ -86,12 +86,14 @@ TEST(ServiceDifferential, HitsAreIndistinguishableFromMisses) {
   const Instance instance =
       generate_instance(InstanceFamily::kUniform1To100, 4, 20, 23, 0);
   const Reference expected = reference_solve(instance, options);
-  const SolveResponse first = service.submit(SolveRequest{instance}).get();
+  const SolveResponse first =
+      service.submit_async(SolveRequest{instance}).get();
   EXPECT_FALSE(first.cache_hit);
   EXPECT_EQ(first.makespan, expected.makespan);
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const Instance twin = permuted(instance, seed);
-    const SolveResponse response = service.submit(SolveRequest{twin}).get();
+    const SolveResponse response =
+        service.submit_async(SolveRequest{twin}).get();
     EXPECT_TRUE(response.cache_hit) << "seed " << seed;
     EXPECT_EQ(response.fingerprint, first.fingerprint);
     EXPECT_EQ(response.makespan, expected.makespan);

@@ -171,13 +171,14 @@ TEST(ServiceOverload, TieredPressureWalksTheWholeLadder) {
   SolveService service(options);
 
   std::vector<SolveFuture> futures;
-  futures.push_back(service.submit(SolveRequest{overload_instance(1)}));
+  futures.push_back(service.submit_async(SolveRequest{overload_instance(1)}));
   gate.wait_until_blocked();  // r0 is out of the queue, frozen in handle()
   for (int seed = 2; seed <= 5; ++seed) {  // r1..r4 fill the queue exactly
-    futures.push_back(service.submit(SolveRequest{overload_instance(seed)}));
+    futures.push_back(
+        service.submit_async(SolveRequest{overload_instance(seed)}));
   }
   // r5 finds the queue full: shed at submit, resolved immediately.
-  futures.push_back(service.submit(SolveRequest{overload_instance(6)}));
+  futures.push_back(service.submit_async(SolveRequest{overload_instance(6)}));
   SolveResponse overflow = futures.back().get();
   EXPECT_TRUE(overflow.shed);
   EXPECT_EQ(overflow.degradation_reason, "shed:queue-full");
@@ -221,7 +222,7 @@ TEST(ServiceOverload, TenantQuotaShedsOnlyTheCappedTenant) {
   const auto submit = [&](int seed, const std::string& tenant) {
     SolveRequest request{overload_instance(seed)};
     request.tenant = tenant;
-    return service.submit(std::move(request));
+    return service.submit_async(std::move(request));
   };
   std::vector<SolveFuture> kept;
   kept.push_back(submit(1, "burst"));
@@ -262,7 +263,7 @@ TEST(ServiceOverload, CoalescingSharesOneInflightSolve) {
     options.workers = 1;
     SolveService service(options);
     canonical_response =
-        service.submit(SolveRequest{instance}).get();
+        service.submit_async(SolveRequest{instance}).get();
     ASSERT_EQ(canonical_response.degradation_reason, "none");
   }
 
@@ -287,11 +288,11 @@ TEST(ServiceOverload, CoalescingSharesOneInflightSolve) {
     SolveService service(options);
 
     std::vector<SolveFuture> futures;
-    futures.push_back(service.submit(SolveRequest{instance}));
+    futures.push_back(service.submit_async(SolveRequest{instance}));
     gate.wait_until_blocked();
     constexpr int kFollowers = 7;
     for (int i = 0; i < kFollowers; ++i) {
-      futures.push_back(service.submit(SolveRequest{instance}));
+      futures.push_back(service.submit_async(SolveRequest{instance}));
     }
     // Wait until every follower is parked. A follower that does not park
     // solves and caches the key, so the later ones hit and the count
@@ -337,7 +338,7 @@ TEST(ServiceOverload, HitIsServedWhileAMissOfItsShardIsFrozen) {
 
   // Warm key K.
   const Instance warm = ptas_instance(70);
-  ASSERT_FALSE(service.submit(SolveRequest{warm}).get().cache_hit);
+  ASSERT_FALSE(service.submit_async(SolveRequest{warm}).get().cache_hit);
   const std::size_t home = service.shard_of(
       request_fingerprint(CanonicalInstance(warm), options.epsilon));
 
@@ -350,7 +351,7 @@ TEST(ServiceOverload, HitIsServedWhileAMissOfItsShardIsFrozen) {
   }
   GateHandler gate("bisection.probe");
   FaultScope scope(gate);
-  SolveFuture miss = service.submit(SolveRequest{ptas_instance(seed)});
+  SolveFuture miss = service.submit_async(SolveRequest{ptas_instance(seed)});
   gate.wait_until_blocked();
 
   // A permuted K hits the cache on the other worker while the miss is
@@ -358,7 +359,7 @@ TEST(ServiceOverload, HitIsServedWhileAMissOfItsShardIsFrozen) {
   std::vector<Time> times(warm.times().begin(), warm.times().end());
   std::reverse(times.begin(), times.end());
   SolveFuture hit =
-      service.submit(SolveRequest{Instance(warm.machines(), times)});
+      service.submit_async(SolveRequest{Instance(warm.machines(), times)});
   const SolveResponse response = hit.get_within_ms(2000);
   EXPECT_TRUE(response.cache_hit) << response.degradation_reason;
   EXPECT_EQ(static_cast<std::size_t>(response.shard), home);
@@ -378,9 +379,9 @@ TEST(ServiceOverload, CoalescingOffSolvesEveryDuplicate) {
   options.cache_capacity = 0;  // no dedup at all: every request solves
   SolveService service(options);
   std::vector<SolveFuture> futures;
-  futures.push_back(service.submit(SolveRequest{instance}));
+  futures.push_back(service.submit_async(SolveRequest{instance}));
   gate.wait_until_blocked();
-  futures.push_back(service.submit(SolveRequest{instance}));
+  futures.push_back(service.submit_async(SolveRequest{instance}));
   gate.release();
   for (SolveFuture& future : futures) {
     const SolveResponse response = future.get();
@@ -400,7 +401,7 @@ TEST(ServiceOverload, UnknownExceptionBecomesStructuredResponse) {
   options.workers = 1;
   SolveService service(options);
   const SolveResponse broken =
-      service.submit(SolveRequest{overload_instance(9)}).get();
+      service.submit_async(SolveRequest{overload_instance(9)}).get();
   EXPECT_TRUE(injector.fired());
   EXPECT_TRUE(broken.degraded);
   EXPECT_TRUE(broken.shed);
@@ -410,7 +411,7 @@ TEST(ServiceOverload, UnknownExceptionBecomesStructuredResponse) {
 
   // The worker survived: the next request is served normally.
   const SolveResponse healthy =
-      service.submit(SolveRequest{overload_instance(9)}).get();
+      service.submit_async(SolveRequest{overload_instance(9)}).get();
   EXPECT_EQ(healthy.degradation_reason, "none");
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.internal_errors, 1u);
@@ -427,7 +428,7 @@ TEST(ServiceOverload, TypedErrorsStillPropagateThroughTheFuture) {
   // k = ceil(1/eps) = 100 blows the PTAS accuracy bound (< 64):
   // InvalidArgumentError from the worker thread.
   request.epsilon = 0.01;
-  auto future = service.submit(std::move(request));
+  auto future = service.submit_async(std::move(request));
   EXPECT_THROW((void)future.get(), InvalidArgumentError);
   EXPECT_EQ(service.stats().internal_errors, 0u);
 }
@@ -443,7 +444,7 @@ TEST(ServiceOverload, BreakerTripsReroutesAndRecovers) {
   SolveService service(options);
 
   const auto degrade_reason = [&](int seed) {
-    return service.submit(SolveRequest{ptas_instance(seed)})
+    return service.submit_async(SolveRequest{ptas_instance(seed)})
         .get()
         .degradation_reason;
   };
@@ -456,7 +457,7 @@ TEST(ServiceOverload, BreakerTripsReroutesAndRecovers) {
                            FaultInjector::Action::kThrow);
     FaultScope scope(injector);
     const SolveResponse response =
-        service.submit(SolveRequest{ptas_instance(20 + i)}).get();
+        service.submit_async(SolveRequest{ptas_instance(20 + i)}).get();
     EXPECT_TRUE(injector.fired());
     EXPECT_TRUE(response.degraded);
     EXPECT_EQ(response.degradation_reason.rfind("resource-limit", 0), 0u);
@@ -491,12 +492,12 @@ TEST(ServiceOverload, UnknownExceptionDuringProbeReleasesTheSlot) {
     FaultInjector injector("bisection.probe", /*fire_at=*/1,
                            FaultInjector::Action::kThrow);
     FaultScope scope(injector);
-    (void)service.submit(SolveRequest{ptas_instance(40 + i)}).get();
+    (void)service.submit_async(SolveRequest{ptas_instance(40 + i)}).get();
   }
   ASSERT_EQ(service.breaker().state("ptas"), BreakerState::kOpen);
   // Serve the cooldown: two rerouted requests.
   for (int seed = 42; seed <= 43; ++seed) {
-    (void)service.submit(SolveRequest{ptas_instance(seed)}).get();
+    (void)service.submit_async(SolveRequest{ptas_instance(seed)}).get();
   }
   ASSERT_EQ(service.breaker().state("ptas"), BreakerState::kHalfOpen);
 
@@ -508,7 +509,7 @@ TEST(ServiceOverload, UnknownExceptionDuringProbeReleasesTheSlot) {
                            FaultInjector::Action::kThrowUnknown);
     FaultScope scope(injector);
     const SolveResponse broken =
-        service.submit(SolveRequest{ptas_instance(44)}).get();
+        service.submit_async(SolveRequest{ptas_instance(44)}).get();
     EXPECT_EQ(broken.degradation_reason, "internal-error");
   }
   EXPECT_EQ(service.breaker().state("ptas"), BreakerState::kHalfOpen);
@@ -516,7 +517,7 @@ TEST(ServiceOverload, UnknownExceptionDuringProbeReleasesTheSlot) {
 
   // The slot is free: the next attempt probes, succeeds, and closes.
   const SolveResponse healthy =
-      service.submit(SolveRequest{ptas_instance(45)}).get();
+      service.submit_async(SolveRequest{ptas_instance(45)}).get();
   EXPECT_EQ(healthy.degradation_reason, "none");
   EXPECT_EQ(service.breaker().state("ptas"), BreakerState::kClosed);
 }
@@ -540,19 +541,19 @@ TEST(ServiceOverload, ParkedFollowerReleasesItsHalfOpenProbeSlot) {
   // The leader is admitted while the breaker is CLOSED and freezes inside
   // its solve, holding leadership of its fingerprint.
   const Instance shared = ptas_instance(50);
-  SolveFuture leader = service.submit(SolveRequest{shared});
+  SolveFuture leader = service.submit_async(SolveRequest{shared});
   handler.wait_until_blocked();
 
   // Two resource failures behind it trip the breaker...
   for (int seed = 51; seed <= 52; ++seed) {
     const SolveResponse failed =
-        service.submit(SolveRequest{ptas_instance(seed)}).get();
+        service.submit_async(SolveRequest{ptas_instance(seed)}).get();
     EXPECT_EQ(failed.degradation_reason.rfind("resource-limit", 0), 0u);
   }
   ASSERT_EQ(service.breaker().state("ptas"), BreakerState::kOpen);
   // ...and two rerouted requests serve the cooldown.
   for (int seed = 53; seed <= 54; ++seed) {
-    EXPECT_EQ(service.submit(SolveRequest{ptas_instance(seed)})
+    EXPECT_EQ(service.submit_async(SolveRequest{ptas_instance(seed)})
                   .get()
                   .degradation_reason,
               "breaker-open:ptas");
@@ -561,7 +562,7 @@ TEST(ServiceOverload, ParkedFollowerReleasesItsHalfOpenProbeSlot) {
 
   // The duplicate is admitted as probe #1, finds the frozen leader in
   // flight, and parks — abandoning the probe slot on the way.
-  SolveFuture follower = service.submit(SolveRequest{shared});
+  SolveFuture follower = service.submit_async(SolveRequest{shared});
   while (service.breaker().stats("ptas").abandons == 0) {
     std::this_thread::yield();
   }
@@ -571,7 +572,7 @@ TEST(ServiceOverload, ParkedFollowerReleasesItsHalfOpenProbeSlot) {
   // succeeds, and closes the breaker (with the leak, every attempt from
   // here on was rejected with "breaker-open:ptas").
   const SolveResponse probe =
-      service.submit(SolveRequest{ptas_instance(55)}).get();
+      service.submit_async(SolveRequest{ptas_instance(55)}).get();
   EXPECT_EQ(probe.degradation_reason, "none");
   EXPECT_EQ(service.breaker().state("ptas"), BreakerState::kClosed);
   EXPECT_EQ(service.breaker().stats("ptas").probes, 2u);
@@ -598,7 +599,8 @@ TEST(ServiceOverload, TieredDeadlineNearDegradesWithoutFeedingTheBreaker) {
   for (int seed = 60; seed < 63; ++seed) {
     SolveRequest request{overload_instance(seed)};
     request.time_limit_ms = 5;
-    const SolveResponse response = service.submit(std::move(request)).get();
+    const SolveResponse response =
+        service.submit_async(std::move(request)).get();
     EXPECT_EQ(response.degradation_reason, "deadline-near");
     EXPECT_FALSE(response.shed);
     EXPECT_GT(response.makespan, 0);

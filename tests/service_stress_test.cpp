@@ -66,7 +66,7 @@ TEST(ServiceStress, ConcurrentSubmittersLoseNoResponses) {
           SolveRequest request{pool[pool_index]};
           if (i % 5 == 4) request.epsilon = 0.8;  // a second request key
           local.emplace_back(pool_index,
-                             service.submit(std::move(request)));
+                             service.submit_async(std::move(request)));
         }
         for (auto& [pool_index, future] : local) {
           SolveResponse response = future.get();
@@ -129,7 +129,7 @@ TEST(ServiceStress, DestructionDrainsEveryQueuedRequest) {
   {
     SolveService service(options);
     for (int i = 0; i < 16; ++i) {
-      futures.push_back(service.submit(
+      futures.push_back(service.submit_async(
           SolveRequest{pool[static_cast<std::size_t>(i) % pool.size()]}));
     }
     // Destroy immediately: close + drain, no abandoned futures.
@@ -150,12 +150,13 @@ TEST(ServiceStress, PreCancelledRequestsDegradeInsteadOfHanging) {
   SolveRequest request{instance};
   request.cancel = CancellationToken::make();
   request.cancel.request_cancel();
-  const SolveResponse response = service.submit(std::move(request)).get();
+  const SolveResponse response = service.submit_async(std::move(request)).get();
   response.schedule.validate(instance);
   EXPECT_TRUE(response.degraded);
   EXPECT_EQ(response.degradation_reason, "cancelled");
   // A cancelled request's (degraded) result must not poison the cache.
-  const SolveResponse healthy = service.submit(SolveRequest{instance}).get();
+  const SolveResponse healthy =
+      service.submit_async(SolveRequest{instance}).get();
   EXPECT_FALSE(healthy.cache_hit);
   EXPECT_FALSE(healthy.degraded);
 }
@@ -176,7 +177,7 @@ TEST(ServiceStress, TinyBudgetsAlwaysResolveWithValidSchedules) {
         static_cast<std::size_t>(i) % pool.size();
     SolveRequest request{pool[pool_index]};
     request.time_limit_ms = 5;  // finite => degrades at dispatch
-    futures.emplace_back(pool_index, service.submit(std::move(request)));
+    futures.emplace_back(pool_index, service.submit_async(std::move(request)));
   }
   int degraded = 0;
   for (auto& [pool_index, future] : futures) {

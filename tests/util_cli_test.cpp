@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <new>
+#include <string>
+
 #include "util/error.hpp"
 
 namespace pcmax {
@@ -127,6 +130,14 @@ TEST(CliParser, LastOccurrenceWins) {
   const char* argv[] = {"prog", "--n", "1", "--n", "2"};
   ASSERT_TRUE(cli.parse(5, argv));
   EXPECT_EQ(cli.get_int("n"), 2);
+}
+
+TEST(RunMain, OutOfMemoryPrintsAnErrorAndReturnsOne) {
+  testing::internal::CaptureStderr();
+  const int code = run_main([]() -> int { throw std::bad_alloc(); });
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(code, 1);
+  EXPECT_EQ(err.rfind("error: ", 0), 0u) << err;
 }
 
 }  // namespace

@@ -178,7 +178,7 @@ TEST(VariantDifferential, IncrementalSessionResolveMatchesFreshSubmit) {
     // prepared path changes cost, never answers.
     SolveService fresh_service(options);
     const SolveResponse fresh =
-        fresh_service.submit(SolveRequest{session.instance()}).get();
+        fresh_service.submit_async(SolveRequest{session.instance()}).get();
     EXPECT_EQ(prepared.fingerprint, fresh.fingerprint);
     EXPECT_EQ(prepared.makespan, fresh.makespan);
     EXPECT_TRUE(prepared.schedule == fresh.schedule);

@@ -22,7 +22,8 @@
 # ctest invocation. The TSan tree picks the chaos soak and the async
 # SolveFuture stress up twice: they carry `sanitize` alongside their own
 # labels. It also repeats the team-episode tests (Executor::run_team, the
-# spin-then-block Barrier, the team DP sweep) three times.
+# spin-then-block Barrier, the team DP sweep) and the service overload
+# suite (coalescing followers, breaker probes) three times.
 #
 # Build trees live in build-check/, build-werror/, build-simd/,
 # build-nosimd/, and build-tsan/ so they never clobber a developer's main
@@ -103,6 +104,15 @@ run_tsan() {
   # repeat.
   ctest --test-dir build-tsan --output-on-failure -L sanitize \
     -R 'Team|Barrier\.' --repeat until-fail:3
+  echo "== ThreadSanitizer tree: service overload, 3 repeats =="
+  # The coalescing path (a leader and its parked followers under the shard's
+  # inflight_mutex in SolveService::handle and conclude_leadership,
+  # re-dispatch after a degraded leader) and the breaker's half-open probe
+  # race between workers. A lost follower or a wedged probe shows only in
+  # some interleavings, and the coalescing test once failed 1 run in 20 on
+  # such a race, so these repeat as well.
+  ctest --test-dir build-tsan --output-on-failure -L sanitize \
+    -R 'ServiceOverload\.' --repeat until-fail:3
   echo "== ThreadSanitizer tree: sharding equivalence + async futures =="
   ctest --test-dir build-tsan --output-on-failure -L service-sharded
   echo "== ThreadSanitizer tree: problem variants =="
