@@ -10,7 +10,10 @@
 // probe's canonical instance. A fingerprint collision therefore degrades to
 // a miss (counted separately), never to a wrong answer.
 //
-// Thread-safe: one mutex around the map + recency list. Hit/miss/eviction
+// Thread-safe: one mutex around the map + recency list. Entries are
+// immutable and shared: a hit copies one shared_ptr under the mutex, and the
+// caller reads (and lifts) the entry outside it, so submitters and workers
+// probing one slice hold the lock only for the map walk. Hit/miss/eviction
 // counts are mirrored into the ambient obs::Metrics collector (slot 0) as
 // service.cache.* counters.
 #pragma once
@@ -18,8 +21,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -58,9 +61,12 @@ class ResultCache {
   ResultCache& operator=(const ResultCache&) = delete;
 
   /// Returns the entry under `key` after verifying it matches `canonical`
-  /// (collision check), refreshing its recency. Counts a hit or a miss.
-  [[nodiscard]] std::optional<CacheEntry> lookup(const Fingerprint& key,
-                                                 const Instance& canonical);
+  /// (collision check), refreshing its recency; null on a miss. Counts a
+  /// hit, and a miss (or collision) only when `count_miss` — a probe that
+  /// is retried later for the same request leaves its miss to the retry.
+  [[nodiscard]] std::shared_ptr<const CacheEntry> lookup(
+      const Fingerprint& key, const Instance& canonical,
+      bool count_miss = true);
 
   /// Inserts (or refreshes) `entry` under `key`, evicting the LRU entry if
   /// the cache is full.
@@ -70,7 +76,8 @@ class ResultCache {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:
-  using LruList = std::list<std::pair<Fingerprint, CacheEntry>>;
+  using LruList =
+      std::list<std::pair<Fingerprint, std::shared_ptr<const CacheEntry>>>;
 
   const std::size_t capacity_;
   mutable std::mutex mutex_;

@@ -99,7 +99,8 @@ class SolveFuture {
   /// response: inline right now if already delivered, else inline on the
   /// delivering thread. Never runs after an exceptional delivery. The
   /// continuation must not block on this future (self-deadlock) and should
-  /// be cheap — it runs on a service worker.
+  /// be cheap — it runs on a service worker, or, for a cache hit (resolved
+  /// inside submit_async), on the attaching thread.
   void then(std::function<void(const SolveResponse&)> continuation) const;
 
  private:

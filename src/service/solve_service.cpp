@@ -228,6 +228,26 @@ SolveFuture SolveService::route_and_enqueue(Pending pending) {
     return future;
   }
 
+  // A warm key is answered here, on the caller's thread: it takes no quota
+  // or queue slot, wakes no worker, and its future is resolved before
+  // submit_async returns. A miss queues, and the worker probes again at
+  // dispatch, where a duplicate queued behind its leader hits.
+  std::optional<SolveResponse> hit;
+  try {
+    hit = probe_cache(pending, /*at_submit=*/true);
+  } catch (const Error&) {
+    // As on a worker (see process): typed errors go through the future,
+    // unknown ones become a structured internal-error response.
+    pending.promise.set_exception(std::current_exception());
+    return future;
+  } catch (const std::exception& e) {
+    hit = internal_error_response(pending, e.what());
+  }
+  if (hit.has_value()) {
+    finish(pending, std::move(*hit), pending.enqueue_ns);
+    return future;
+  }
+
   // Tenant quota: a capped tenant may hold only its weighted share of the
   // queue capacity. The check-and-increment is atomic under tenant_mutex_;
   // the slot is returned when a worker pops the request.
@@ -383,6 +403,40 @@ void SolveService::process(Pending pending, Executor& executor) {
   finish(pending, std::move(response), dispatch_ns);
 }
 
+std::optional<SolveResponse> SolveService::probe_cache(Pending& pending,
+                                                       bool at_submit) {
+  ResultCache* cache = shard_for(pending).cache.get();
+  if (cache == nullptr || !pending.lookup_bypass.empty()) return std::nullopt;
+  if (at_submit) {
+    // The request's one pass through the lookup fault site. A failing cache
+    // must cost a recompute, never availability: the request skips the
+    // cache, its worker re-probe included.
+    try {
+      fault_hit("service.cache");
+    } catch (const ResourceLimitError& e) {
+      pending.lookup_bypass = std::string("lookup-bypassed: ") + e.what();
+      return std::nullopt;
+    }
+  }
+  // The submit-side probe counts only a hit; a miss is counted by the
+  // worker's re-probe, so each request counts exactly one hit or miss.
+  const std::shared_ptr<const CacheEntry> entry = cache->lookup(
+      pending.key, pending.canonical->instance(), /*count_miss=*/!at_submit);
+  if (entry == nullptr) return std::nullopt;
+  SolveResponse response;
+  response.fingerprint = pending.key;
+  response.cache_hit = true;
+  response.makespan = entry->makespan;
+  response.algorithm = entry->algorithm;
+  response.proven_optimal = entry->proven_optimal;
+  // Lift the canonical-space assignment through THIS request's sort
+  // permutation: valid for its job numbering, same makespan.
+  response.schedule = pending.canonical->lift(entry->assignment);
+  response.schedule.validate(pending.request.instance);
+  response.notes["cache"] = "hit";
+  return response;
+}
+
 std::optional<SolveResponse> SolveService::handle(Pending& pending,
                                                   Executor& executor) {
   fault_hit("service.request");
@@ -390,31 +444,14 @@ std::optional<SolveResponse> SolveService::handle(Pending& pending,
   const CanonicalInstance& canonical = *pending.canonical;
   const Fingerprint& key = pending.key;
 
-  std::string cache_note = shard.cache != nullptr ? "miss" : "disabled";
-  if (shard.cache != nullptr) {
-    std::optional<CacheEntry> entry;
-    try {
-      fault_hit("service.cache");
-      entry = shard.cache->lookup(key, canonical.instance());
-    } catch (const ResourceLimitError& e) {
-      // A failing cache must cost a recompute, never availability.
-      cache_note = std::string("lookup-bypassed: ") + e.what();
-    }
-    if (entry.has_value()) {
-      SolveResponse response;
-      response.fingerprint = key;
-      response.cache_hit = true;
-      response.makespan = entry->makespan;
-      response.algorithm = entry->algorithm;
-      response.proven_optimal = entry->proven_optimal;
-      // Lift the canonical-space assignment through THIS request's sort
-      // permutation: valid for its job numbering, same makespan.
-      response.schedule = canonical.lift(entry->assignment);
-      response.schedule.validate(pending.request.instance);
-      response.notes["cache"] = "hit";
-      return response;
-    }
+  if (std::optional<SolveResponse> hit =
+          probe_cache(pending, /*at_submit=*/false)) {
+    return hit;
   }
+  const std::string cache_note = shard.cache == nullptr ? "disabled"
+                                 : pending.lookup_bypass.empty()
+                                     ? "miss"
+                                     : pending.lookup_bypass;
 
   // Admission decision: map the pressure signal (service queue depth, deadline
   // headroom, breaker state) onto a solver tier — or shed outright.

@@ -16,10 +16,16 @@
 //    caches and coalescing maps lose no matches, and responses stay
 //    byte-identical to the 1-shard service
 //    (tests/service_shard_equivalence_test.cpp);
-//  * every routed request joins ONE bounded queue, and `workers` threads
-//    serve every shard from it: whichever worker is idle takes the next
-//    request (Graham's list scheduling), so a request never waits for one
-//    shard's worker while another worker is idle;
+//  * a routed request first probes its shard's cache slice ON THE CALLER'S
+//    THREAD: a hit is lifted and answered there, so it never queues, never
+//    takes a tenant-quota slot and never wakes a worker, and its future is
+//    resolved (its then() continuations run on the caller) before
+//    submit_async returns;
+//  * every miss joins ONE bounded queue, and `workers` threads serve every
+//    shard from it: whichever worker is idle takes the next request
+//    (Graham's list scheduling), so a request never waits for one shard's
+//    worker while another worker is idle. The worker probes the cache
+//    again at dispatch, so a duplicate queued behind its leader is a hit;
 //  * submit_async returns a SolveFuture (service/solve_future.hpp):
 //    value-or-structured-shed, then() continuations that run exactly once,
 //    and deadline-aware get_within_ms that answers "shed:deadline" instead
@@ -89,12 +95,14 @@ class SolveService {
   SolveService& operator=(const SolveService&) = delete;
 
   /// Submits one request and returns its SolveFuture. Routing (canonical
-  /// form, fingerprint, shard) happens here, on the caller's thread. Under
-  /// the static policy, blocks while the queue is full (backpressure);
-  /// under the tiered policy, the future resolves immediately with a
-  /// structured shed response instead. Tenant-quota rejects resolve the
-  /// same way under either policy. Throws Error once the service is
-  /// shutting down.
+  /// form, fingerprint, shard) and the cache probe happen here, on the
+  /// caller's thread: a cache hit is resolved before this returns, so a
+  /// then() attached to it runs on the caller, and it is never shed. A miss
+  /// queues: under the static policy, this blocks while the queue is full
+  /// (backpressure); under the tiered policy, the future resolves
+  /// immediately with a structured shed response instead. Tenant-quota
+  /// rejects resolve the same way under either policy. Throws Error once
+  /// the service is shutting down.
   [[nodiscard]] SolveFuture submit_async(SolveRequest request);
 
   /// Incremental fast path: submits a request whose canonical form (and
@@ -152,6 +160,9 @@ class SolveService {
     std::optional<CanonicalInstance> canonical;
     Fingerprint key;          ///< request fingerprint (routing + dedup)
     int shard = 0;            ///< destination shard index
+    /// The cache note when the submit-side lookup faulted: the request then
+    /// skips the cache, its worker re-probe included. Empty otherwise.
+    std::string lookup_bypass;
   };
 
   /// The solver rung a request is admitted to.
@@ -191,9 +202,19 @@ class SolveService {
   [[nodiscard]] double effective_epsilon(const SolveRequest& request) const;
   /// Shared submission head: id, deadline/token, effective epsilon.
   [[nodiscard]] Pending make_pending(SolveRequest request);
-  /// Shared submission tail: fingerprint, shard routing, quota, enqueue.
-  /// `pending.canonical` must already be set.
+  /// Shared submission tail: fingerprint, shard routing, cache probe (a hit
+  /// resolves here), quota, enqueue. `pending.canonical` must already be
+  /// set.
   [[nodiscard]] SolveFuture route_and_enqueue(Pending pending);
+
+  /// The cache probe of the request's shard: on a hit, the cached result
+  /// lifted through the request's own sort permutation and validated; nullopt
+  /// on a miss or with no cache. `at_submit` marks the caller-thread probe:
+  /// it alone hits fault site "service.cache" (a fault sets
+  /// `pending.lookup_bypass`), and it counts only a hit, leaving the miss to
+  /// the worker's re-probe.
+  [[nodiscard]] std::optional<SolveResponse> probe_cache(Pending& pending,
+                                                         bool at_submit);
 
   // The serving pipeline, run on a worker for one popped request against
   // the state of its shard (`pending.shard`).
@@ -203,7 +224,7 @@ class SolveService {
   /// leader then delivers it, or re-dispatches it on the leader's
   /// executor).
   void process(Pending pending, Executor& executor);
-  /// The full pipeline: cache probe, admission decision, solve, cache
+  /// The full pipeline: cache re-probe, admission decision, solve, cache
   /// store, coalesced delivery. Returns nullopt when the request was parked
   /// as a coalescing follower (the leader will resolve its promise). May
   /// throw ResourceLimitError from a fault site.

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,10 +31,10 @@ Fingerprint key_of(std::uint64_t id) { return Fingerprint{id, ~id}; }
 TEST(ResultCache, MissThenHit) {
   ResultCache cache(4);
   const Instance canonical = canonical_instance(1);
-  EXPECT_FALSE(cache.lookup(key_of(1), canonical).has_value());
+  EXPECT_EQ(cache.lookup(key_of(1), canonical), nullptr);
   cache.insert(key_of(1), entry_for(canonical, "PTAS"));
   const auto hit = cache.lookup(key_of(1), canonical);
-  ASSERT_TRUE(hit.has_value());
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->algorithm, "PTAS");
   EXPECT_EQ(hit->makespan, canonical.total_time());
   const CacheStats stats = cache.stats();
@@ -62,11 +63,11 @@ TEST(ResultCache, EvictsTheLeastRecentlyUsedEntry) {
   cache.insert(key_of(1), entry_for(a, "A"));
   cache.insert(key_of(2), entry_for(b, "B"));
   // Touch A so B becomes the LRU entry, then push C past capacity.
-  ASSERT_TRUE(cache.lookup(key_of(1), a).has_value());
+  ASSERT_NE(cache.lookup(key_of(1), a), nullptr);
   cache.insert(key_of(3), entry_for(c, "C"));
-  EXPECT_TRUE(cache.lookup(key_of(1), a).has_value());   // survived
-  EXPECT_FALSE(cache.lookup(key_of(2), b).has_value());  // evicted
-  EXPECT_TRUE(cache.lookup(key_of(3), c).has_value());
+  EXPECT_NE(cache.lookup(key_of(1), a), nullptr);  // survived
+  EXPECT_EQ(cache.lookup(key_of(2), b), nullptr);  // evicted
+  EXPECT_NE(cache.lookup(key_of(3), c), nullptr);
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
@@ -75,13 +76,13 @@ TEST(ResultCache, FingerprintCollisionDegradesToAMiss) {
   const Instance stored = canonical_instance(1);
   const Instance probe = canonical_instance(2);  // same key, different problem
   cache.insert(key_of(7), entry_for(stored, "PTAS"));
-  EXPECT_FALSE(cache.lookup(key_of(7), probe).has_value());
+  EXPECT_EQ(cache.lookup(key_of(7), probe), nullptr);
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.collisions, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 0u);
   // The entry itself is untouched and still serves the real owner.
-  EXPECT_TRUE(cache.lookup(key_of(7), stored).has_value());
+  EXPECT_NE(cache.lookup(key_of(7), stored), nullptr);
 }
 
 TEST(ResultCache, ReinsertKeepsTheExistingEntry) {
@@ -92,9 +93,39 @@ TEST(ResultCache, ReinsertKeepsTheExistingEntry) {
   cache.insert(key_of(1), entry_for(canonical, "first"));
   cache.insert(key_of(1), entry_for(canonical, "second"));
   const auto hit = cache.lookup(key_of(1), canonical);
-  ASSERT_TRUE(hit.has_value());
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->algorithm, "first");
   EXPECT_EQ(cache.stats().size, 1u);
+}
+
+TEST(ResultCache, AHitOnlyProbeCountsNoMissOrCollision) {
+  // The service's submit-side probe: it counts a hit, but leaves a miss to
+  // the worker's re-probe of the same request.
+  ResultCache cache(4);
+  const Instance stored = canonical_instance(1);
+  const Instance probe = canonical_instance(2);  // same key, different problem
+  EXPECT_EQ(cache.lookup(key_of(7), stored, /*count_miss=*/false), nullptr);
+  cache.insert(key_of(7), entry_for(stored, "PTAS"));
+  EXPECT_EQ(cache.lookup(key_of(7), probe, /*count_miss=*/false), nullptr);
+  EXPECT_NE(cache.lookup(key_of(7), stored, /*count_miss=*/false), nullptr);
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.collisions, 0u);
+}
+
+TEST(ResultCache, AHitOutlivesItsEviction) {
+  // A hit shares the stored entry, so a caller still lifting it is safe
+  // while another thread evicts the key.
+  ResultCache cache(1);
+  const Instance a = canonical_instance(1);
+  cache.insert(key_of(1), entry_for(a, "A"));
+  const std::shared_ptr<const CacheEntry> hit = cache.lookup(key_of(1), a);
+  ASSERT_NE(hit, nullptr);
+  cache.insert(key_of(2), entry_for(canonical_instance(2), "B"));
+  EXPECT_EQ(cache.lookup(key_of(1), a), nullptr);
+  EXPECT_EQ(hit->algorithm, "A");
+  EXPECT_EQ(hit->assignment.size(), static_cast<std::size_t>(a.jobs()));
 }
 
 TEST(ResultCache, RejectsZeroCapacity) {

@@ -369,6 +369,201 @@ TEST(ServiceOverload, HitIsServedWhileAMissOfItsShardIsFrozen) {
   EXPECT_EQ(miss.get().degradation_reason, "none");
 }
 
+/// `instance` with its jobs rotated left by `shift`: the same problem (one
+/// fingerprint) under a different job numbering.
+Instance rotated(const Instance& instance, int shift) {
+  std::vector<Time> times(instance.times().begin(), instance.times().end());
+  std::rotate(times.begin(), times.begin() + shift % instance.jobs(),
+              times.end());
+  return Instance(instance.machines(), times);
+}
+
+/// Asserts that `future`, fresh from submit_async, is a cache hit answered
+/// on the submitting thread: resolved already, never queued.
+void expect_answered_at_submission(const SolveFuture& future,
+                                   const Instance& instance) {
+  // Nothing here may throw or block: the caller still holds a frozen
+  // worker that it must release.
+  ASSERT_TRUE(future.ready());
+  const SolveResponse response = future.get();
+  ASSERT_TRUE(response.cache_hit) << response.degradation_reason;
+  EXPECT_FALSE(response.shed);
+  EXPECT_EQ(response.queue_seconds, 0.0);
+  const auto note = response.notes.find("cache");
+  EXPECT_TRUE(note != response.notes.end() && note->second == "hit");
+  EXPECT_NO_THROW(response.schedule.validate(instance));
+}
+
+// A warm key is answered on the submitting thread even while the service
+// is saturated: one worker frozen, the queue full behind it. Under the
+// tiered policy a miss now sheds as "shed:queue-full"; the hit takes no
+// queue slot, so it is not shed.
+TEST(ServiceOverload, WarmKeyIsAnsweredWhileTheQueueIsFull) {
+  ServiceOptions options;
+  options.workers = 1;
+  options.queue_capacity = 2;
+  options.shed_policy = ShedPolicy::kTiered;
+  options.breaker_enabled = false;
+  SolveService service(options);
+  const Instance warm = overload_instance(80);
+  ASSERT_FALSE(service.submit_async(SolveRequest{warm}).get().cache_hit);
+
+  GateHandler gate("service.request");
+  FaultScope scope(gate);
+  std::vector<SolveFuture> queued;
+  queued.push_back(service.submit_async(SolveRequest{overload_instance(81)}));
+  gate.wait_until_blocked();  // the worker is frozen in handle()
+  for (int seed = 82; seed <= 83; ++seed) {  // the queue is now full
+    queued.push_back(
+        service.submit_async(SolveRequest{overload_instance(seed)}));
+  }
+  EXPECT_EQ(service.submit_async(SolveRequest{overload_instance(84)})
+                .get()
+                .degradation_reason,
+            "shed:queue-full");
+
+  const Instance permuted = rotated(warm, 5);
+  expect_answered_at_submission(service.submit_async(SolveRequest{permuted}),
+                                permuted);
+
+  gate.release();
+  for (SolveFuture& future : queued) (void)future.get();
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.shed_overload, 1u);
+  EXPECT_EQ(stats.cache.hits, 1u);
+}
+
+// A capped tenant at its quota still gets its warm keys answered: a hit
+// never takes a queue slot, so the quota never sheds it.
+TEST(ServiceOverload, WarmKeyIsAnsweredForATenantAtItsQuota) {
+  ServiceOptions options;
+  options.workers = 1;
+  options.queue_capacity = 8;
+  options.shed_policy = ShedPolicy::kTiered;
+  options.breaker_enabled = false;
+  options.tenant_weights = {{"burst", 1}, {"steady", 3}};
+  // burst may hold 8*1/4 = 2 queue slots.
+  SolveService service(options);
+  const auto submit = [&](const Instance& instance) {
+    SolveRequest request{instance};
+    request.tenant = "burst";
+    return service.submit_async(std::move(request));
+  };
+  const Instance warm = overload_instance(90);
+  ASSERT_FALSE(submit(warm).get().cache_hit);
+
+  GateHandler gate("service.request");
+  FaultScope scope(gate);
+  std::vector<SolveFuture> queued;
+  queued.push_back(submit(overload_instance(91)));
+  gate.wait_until_blocked();  // its slot is free again, the worker frozen
+  queued.push_back(submit(overload_instance(92)));
+  queued.push_back(submit(overload_instance(93)));  // burst holds both slots
+  EXPECT_EQ(submit(overload_instance(94)).get().degradation_reason,
+            "shed:tenant-quota");
+
+  const Instance permuted = rotated(warm, 7);
+  const SolveFuture hit = submit(permuted);
+  expect_answered_at_submission(hit, permuted);
+  EXPECT_EQ(hit.get().tenant, "burst");
+
+  gate.release();
+  for (SolveFuture& future : queued) (void)future.get();
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.shed_quota, 1u);
+  EXPECT_EQ(stats.cache.hits, 1u);
+}
+
+// A miss queues, and its worker probes the cache again at dispatch: a
+// duplicate queued behind its leader is a hit there, not a second solve.
+TEST(ServiceOverload, DuplicateQueuedBehindItsLeaderHitsAtDispatch) {
+  ServiceOptions options;
+  options.workers = 1;
+  SolveService service(options);
+  GateHandler gate("service.request");
+  FaultScope scope(gate);
+  SolveFuture blocker =
+      service.submit_async(SolveRequest{overload_instance(100)});
+  gate.wait_until_blocked();
+  const Instance key = overload_instance(101);
+  SolveFuture leader = service.submit_async(SolveRequest{key});
+  SolveFuture duplicate = service.submit_async(SolveRequest{rotated(key, 3)});
+  EXPECT_FALSE(duplicate.ready());  // a miss at submission: it queued
+  gate.release();
+
+  (void)blocker.get();
+  EXPECT_FALSE(leader.get().cache_hit);
+  const SolveResponse hit = duplicate.get();
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.makespan, leader.get().makespan);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.cache.hits, 1u);
+  EXPECT_EQ(stats.cache.misses, 2u);
+  EXPECT_EQ(stats.requests, 3u);
+}
+
+// Each request counts exactly one cache hit or one miss, whether the
+// submitter or a worker answered it: over a concurrent mix of cold keys,
+// warm keys, and duplicates queued behind their leaders, hits + misses ==
+// requests, and the hit count is the number of cache_hit responses.
+TEST(ServiceOverload, EachRequestCountsOneCacheHitOrOneMiss) {
+  for (const unsigned shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ServiceOptions options;
+    options.shards = shards;
+    options.workers = 2;
+    options.queue_capacity = 256;
+    SolveService service(options);
+    constexpr int kWarm = 4;
+    constexpr int kCold = 6;
+    for (int k = 0; k < kWarm; ++k) {
+      ASSERT_FALSE(service.submit_async(SolveRequest{ptas_instance(110 + k)})
+                       .get()
+                       .cache_hit);
+    }
+    // Three copies of each cold key side by side, so the submitters below
+    // race to submit them together; two copies of each warm key.
+    std::vector<Instance> mix;
+    for (int k = 0; k < kCold; ++k) {
+      const Instance cold = ptas_instance(120 + k);
+      for (int copy = 0; copy < 3; ++copy) mix.push_back(rotated(cold, copy));
+      const Instance warm = ptas_instance(110 + k % kWarm);
+      mix.push_back(rotated(warm, 1 + k));
+    }
+    for (int k = 0; k < kWarm; ++k) {
+      mix.push_back(rotated(ptas_instance(110 + k), 2 + k));
+    }
+
+    constexpr std::size_t kSubmitters = 3;
+    std::vector<std::vector<SolveFuture>> futures(kSubmitters);
+    std::vector<std::thread> submitters;
+    for (std::size_t t = 0; t < kSubmitters; ++t) {
+      submitters.emplace_back([&, t] {
+        for (std::size_t i = t; i < mix.size(); i += kSubmitters) {
+          futures[t].push_back(service.submit_async(SolveRequest{mix[i]}));
+        }
+      });
+    }
+    for (std::thread& submitter : submitters) submitter.join();
+
+    std::uint64_t hits = 0;
+    for (const std::vector<SolveFuture>& batch : futures) {
+      for (const SolveFuture& future : batch) {
+        const SolveResponse response = future.get();
+        EXPECT_EQ(response.degradation_reason, "none");
+        if (response.cache_hit) ++hits;
+      }
+    }
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.requests, kWarm + mix.size());
+    EXPECT_EQ(stats.cache.hits + stats.cache.misses, stats.requests);
+    EXPECT_EQ(stats.cache.hits, hits);
+    // Every warm copy hits; every cold key misses at least once.
+    EXPECT_GE(hits, static_cast<std::uint64_t>(kCold + kWarm));
+    EXPECT_GE(stats.cache.misses, static_cast<std::uint64_t>(kWarm + kCold));
+  }
+}
+
 TEST(ServiceOverload, CoalescingOffSolvesEveryDuplicate) {
   const Instance instance = ptas_instance(8);
   GateHandler gate("bisection.probe");
@@ -416,6 +611,26 @@ TEST(ServiceOverload, UnknownExceptionBecomesStructuredResponse) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.internal_errors, 1u);
   EXPECT_EQ(stats.requests, 2u);
+}
+
+// The same holds on the submitting thread: an unknown exception out of the
+// submit-side cache probe resolves the future with a structured response
+// instead of escaping submit_async.
+TEST(ServiceOverload, UnknownExceptionInTheSubmitSideProbeIsStructured) {
+  FaultInjector injector("service.cache", /*fire_at=*/1,
+                         FaultInjector::Action::kThrowUnknown);
+  FaultScope scope(injector);
+  ServiceOptions options;
+  options.workers = 1;
+  SolveService service(options);
+  const Instance instance = overload_instance(11);
+  SolveFuture future;
+  ASSERT_NO_THROW(future = service.submit_async(SolveRequest{instance}));
+  const SolveResponse broken = future.get();
+  EXPECT_TRUE(injector.fired());
+  EXPECT_EQ(broken.degradation_reason, "internal-error");
+  EXPECT_TRUE(broken.shed);
+  EXPECT_EQ(service.stats().internal_errors, 1u);
 }
 
 // Typed pcmax errors still propagate through the future: the service must
